@@ -11,18 +11,8 @@ Usage:
 import argparse
 
 import energynet as en
-from energynet.multop import Multiplier, restricted_norm, sufficiency_bound
-
-
-def parse_multiplier(net, spec):
-    kind, _, arg = spec.partition(":")
-    if kind == "kernel":
-        return Multiplier.from_kernel(net, int(arg))
-    if kind == "delta":
-        return Multiplier.delta(net, int(arg))
-    if kind == "const":
-        return Multiplier.constant(net, float(arg))
-    raise SystemExit(f"unknown multiplier spec {spec!r}")
+from energynet.cli import _parse_multiplier
+from energynet.multop import restricted_norm, sufficiency_bound
 
 
 def main():
@@ -34,7 +24,7 @@ def main():
 
     for n in (int(t) for t in args.sizes.split(",")):
         seg = en.generate("integer_segment", n)
-        m = parse_multiplier(seg, args.f)
+        m = _parse_multiplier(seg, args.f)
         print(f"\ninteger_segment({n}), f = {args.f}")
         print(f"  sufficiency upper bound: {sufficiency_bound(m):.9g}")
         prev = None

@@ -11,6 +11,7 @@ Usage:
 import argparse
 
 import energynet as en
+from energynet.network import _parse_vertex
 from energynet.randwalk import escape_prob_exact, escape_prob_mc
 
 
@@ -24,10 +25,7 @@ def main():
 
     family, _, size = args.gen.partition(":")
     net = en.generate(family, int(size))
-    try:
-        x = int(args.vertex)
-    except ValueError:
-        x = args.vertex
+    x = _parse_vertex(args.vertex)
 
     exact = escape_prob_exact(net, x)
     identity = en.total_conductance(net, x) * en.effective_resistance(net, x) * exact

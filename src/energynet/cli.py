@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import energy, multop, network, randwalk
-from .errors import EnergyNetError
-
-
-def _parse_vertex(token):
-    try:
-        return int(token)
-    except (TypeError, ValueError):
-        return token
+from .errors import EnergyNetError, InvalidInput
+from .network import _parse_vertex
 
 
 def _build_net(args):
@@ -32,7 +25,11 @@ def _build_net(args):
         family, _, size = args.gen.partition(":")
         if not size:
             raise EnergyNetError(f"generator spec {args.gen!r} needs a size, e.g. path:3")
-        return network.generate(family, int(size))
+        try:
+            size = int(size)
+        except ValueError:
+            raise InvalidInput(f"generator size {size!r} is not an integer") from None
+        return network.generate(family, size)
     if getattr(args, "net", None):
         origin = _parse_vertex(args.origin) if args.origin is not None else None
         return network.load_network(args.net, origin=origin)
@@ -279,8 +276,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # honored for interface compatibility; all current paths are single-threaded
-    os.environ.setdefault("ENERGY_SPACE_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,6 +4,12 @@ the bounded-function algebra.
 
 Every finite-energy class is stored by its grounded representative (value 0
 at the origin); equality of classes is equality of grounded representatives.
+
+Cost model: each network factors its grounded Laplacian L_X once (a dense
+Cholesky, built on first use), and every kernel query is a solve against
+that factor.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram matrix
+over F costs |F| solves plus a vectorized reproducing check over the edges;
+nothing else is cached, in particular no kernel vector per vertex.
 """
 
 from __future__ import annotations
@@ -13,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NetworkMismatch, NotPositiveDefinite, OriginInF, UnknownVertex
+from .errors import (
+    InvalidInput,
+    NetworkMismatch,
+    NotPositiveDefinite,
+    OriginInF,
+    UnknownVertex,
+)
 from .network import Network, VertexFunction, laplacian_apply
 from .numkernel import SymMatrix, gram_schmidt_V, spd_solve, sqrtm_psd
 
@@ -52,9 +64,13 @@ def _same_net(u, v):
 
 
 def _edge_energy(net, uvals, vvals):
+    """Sum over edges of c conj(du) dv.  On n x k column blocks, the k x k
+    matrix of pairings between the columns: D(u)* diag(c) D(v)."""
     du = np.conj(uvals[net.edge_i] - uvals[net.edge_j])
     dv = vvals[net.edge_i] - vvals[net.edge_j]
-    return np.sum(net.edge_w * du * dv)
+    if dv.ndim == 1:
+        return np.sum(net.edge_w * du * dv)
+    return du.T @ (net.edge_w[:, None] * dv)
 
 
 def ground(net, values):
@@ -88,18 +104,29 @@ def energy_form(u, v):
 
 def _grounded_cholesky(net):
     """Cholesky factor of the Laplacian with the origin row/column deleted."""
-    with net._lock:
-        if net._grounded_cho is None:
-            keep = x_indices(net)
-            L = net.laplacian_matrix()[np.ix_(keep, keep)]
-            net._grounded_cho = scipy.linalg.cho_factor(L)
-        return net._grounded_cho
+    if net._grounded_cho is None:
+        keep = x_indices(net)
+        L = net.laplacian_matrix()[np.ix_(keep, keep)]
+        net._grounded_cho = scipy.linalg.cho_factor(L)
+    return net._grounded_cho
 
 
 def x_indices(net):
     """Dense indices of X = G \\ {o}, in vertex order."""
     o = net.origin_index
     return [i for i in range(net.n) if i != o]
+
+
+def kernel_columns(net, idx):
+    """Grounded kernel vectors v_x for the dense indices idx (origin
+    excluded) as the columns of an n x len(idx) array: one solve of
+    L_X K = E_idx against the network's grounded Cholesky factor."""
+    idx = np.asarray(idx, dtype=np.intp)
+    rhs = np.zeros((net.n - 1, idx.size))
+    rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
+    cols = np.zeros((net.n, idx.size))
+    cols[x_indices(net)] = scipy.linalg.cho_solve(_grounded_cholesky(net), rhs)
+    return cols
 
 
 def energy_kernel(net, x):
@@ -111,20 +138,7 @@ def energy_kernel(net, x):
     xi = net.index(x)
     if xi == net.origin_index:
         return zero_vector(net)
-    with net._lock:
-        cached = net._kernel_cache.get(xi)
-    if cached is not None:
-        return cached
-    keep = x_indices(net)
-    rhs = np.zeros(len(keep))
-    rhs[keep.index(xi)] = 1.0
-    sol = scipy.linalg.cho_solve(_grounded_cholesky(net), rhs)
-    vals = np.zeros(net.n)
-    vals[keep] = sol
-    vec = ground(net, vals)
-    with net._lock:
-        net._kernel_cache[xi] = vec
-    return vec
+    return ground(net, kernel_columns(net, [xi])[:, 0])
 
 
 def effective_resistance(net, x):
@@ -163,41 +177,28 @@ class GramMatrix:
 
 
 def gram_matrix(net, F):
-    """Gram matrix of the energy kernel over F, cross-checked against the
-    reproducing identity V_xy = v_x(y) entrywise."""
+    """Gram matrix of the energy kernel over F: rows F of the kernel columns
+    at F, cross-checked against the reproducing identity
+    <v_x, v_y> = v_y(x) entrywise."""
     F = tuple(F)
     if not F or len(set(F)) != len(F):
-        raise ValueError("F must be a nonempty list of distinct vertices")
+        raise InvalidInput("F must be a nonempty list of distinct vertices")
     idx = [net.index(x) for x in F]
     if net.origin_index in idx:
         raise OriginInF("the origin cannot appear in F")
-    kernels = [energy_kernel(net, x) for x in F]
-    m = len(F)
-    V = np.empty((m, m))
-    for j, vy in enumerate(kernels):
-        V[:, j] = vy.values[idx].real
-    for i, vx in enumerate(kernels):
-        for j in range(i, m):
-            form = np.real(energy_form(vx, kernels[j]))
-            if abs(form - V[i, j]) > 1e-9 * max(1.0, abs(form)):
-                raise ArithmeticError(
-                    f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form!r} "
-                    f"disagrees with kernel value {V[i, j]!r}"
-                )
+    K = kernel_columns(net, idx)
+    V = K[idx]
+    form = np.real(_edge_energy(net, K, K))
+    bad = np.triu(np.abs(form - V) > 1e-9 * np.maximum(1.0, np.abs(form)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ArithmeticError(
+            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form[i, j]!r} "
+            f"disagrees with kernel value {V[i, j]!r}"
+        )
     gram = GramMatrix(F, SymMatrix.from_array((V + V.T) / 2, tol=1e-9))
     gram.cholesky()  # positive definiteness is an invariant of the type
     return gram
-
-
-def full_gram(net):
-    """Gram matrix over all of X in vertex order, cached on the network."""
-    with net._lock:
-        cached = net._gram_full
-    if cached is None:
-        cached = gram_matrix(net, [net.vertices[i] for i in x_indices(net)])
-        with net._lock:
-            net._gram_full = cached
-    return cached
 
 
 def delta_gram(net, F):

@@ -33,6 +33,10 @@ class InvalidSize(EnergyNetError):
     pass
 
 
+class InvalidInput(EnergyNetError, ValueError):
+    """A user-supplied argument is out of its domain."""
+
+
 class ParseError(EnergyNetError):
     """Malformed network or function file; message carries field context."""
 

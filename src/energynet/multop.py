@@ -20,11 +20,12 @@ from .energy import (
     effective_resistance,
     energy_form,
     energy_kernel,
-    full_gram,
+    gram_matrix,
     ground,
+    kernel_columns,
     x_indices,
 )
-from .errors import InsufficientEnclosure, NetworkMismatch, OriginInF, UnknownVertex
+from .errors import InsufficientEnclosure, InvalidInput, NetworkMismatch, UnknownVertex
 from .network import total_conductance
 from .numkernel import SymMatrix, gen_eig_max, gram_schmidt_V, psd_check
 
@@ -91,27 +92,13 @@ def hermitian_defect(m, u, v):
     return energy_form(apply(m, u), v) - energy_form(u, apply(m, v))
 
 
-def _gram_slice(net, F):
-    """Submatrix of the full kernel Gram matrix for an ordered F subset of X."""
-    gm = full_gram(net)
-    pos = {x: k for k, x in enumerate(gm.F)}
-    try:
-        idx = [pos[x] for x in F]
-    except KeyError as exc:
-        x = exc.args[0]
-        if net.index(x) == net.origin_index:
-            raise OriginInF("the origin cannot appear in F") from None
-        raise UnknownVertex(f"vertex {x!r} not in network") from None
-    return gm.V.a[np.ix_(idx, idx)]
-
-
 def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
     if b < 0:
-        raise ValueError("b must be nonnegative")
+        raise InvalidInput("b must be nonnegative")
     F = tuple(F)
-    V = _gram_slice(m.net, F)
+    V = gram_matrix(m.net, F).V.a
     fv = np.array([m[x] for x in F])
     S = (b**2 - np.outer(fv, np.conj(fv))) * V
     return SymMatrix.from_array(S, tol=1e-9)
@@ -132,23 +119,11 @@ def restricted_norm(m, F):
     """Norm of M* restricted to span{v_x : x in F}: the square root of the
     largest eigenvalue of the pencil (D_F V_F D_F*, V_F)."""
     F = tuple(F)
-    V = _gram_slice(m.net, F)
+    V = gram_matrix(m.net, F).V.a
     fv = np.array([m[x] for x in F])
     A = np.outer(fv, np.conj(fv)) * V
     lam, _ = gen_eig_max(SymMatrix.from_array(A, tol=1e-9), SymMatrix.from_array(V, tol=1e-9))
     return float(np.sqrt(max(lam, 0.0)))
-
-
-def t_matrix(m, F):
-    """The literal V_F^{1/2} conj(D_F) V_F^{-1/2}, whose l2 operator norm
-    equals restricted_norm; kept as an independent cross-check."""
-    F = tuple(F)
-    V = SymMatrix.from_array(_gram_slice(m.net, F), tol=1e-9)
-    from .numkernel import sqrtm_psd
-
-    root = sqrtm_psd(V).a
-    fv = np.conj(np.array([m[x] for x in F]))
-    return root @ np.diag(fv) @ np.linalg.inv(root)
 
 
 def point_mass_norm(net, x):
@@ -161,12 +136,9 @@ def point_mass_norm(net, x):
 def sufficiency_bound(m):
     """sum_x |f(x)| sqrt(c(x) R(x)): an upper bound for ||M_f||."""
     net = m.net
-    total = 0.0
-    for i in x_indices(net):
-        fx = abs(m.f[i])
-        if fx:
-            total += fx * point_mass_norm(net, net.vertices[i])
-    return float(total)
+    supp = [i for i in x_indices(net) if m.f[i]]
+    R = np.diagonal(kernel_columns(net, supp)[supp])
+    return float(np.sum(np.abs(m.f[supp]) * np.sqrt(net.conductance[supp] * R)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +281,8 @@ def truncation_consistency(m, F_n, F_m, samples=None):
             )
 
     L = _dirac_gram(net)
-    C = gram_schmidt_V(SymMatrix.from_array(_gram_slice(net, F_n), tol=1e-9))
-    K = np.column_stack([_coeff(energy_kernel(net, z)) for z in F_n])
+    C = gram_schmidt_V(gram_matrix(net, F_n).V)
+    K = kernel_columns(net, [net.index(z) for z in F_n])[x_indices(net)]
     B = K @ C  # orthonormal basis coefficients
     P = B @ (B.conj().T @ L)
 

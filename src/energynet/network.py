@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +50,9 @@ class Network:
         self.neighbor_idx = [np.array([k for k, _ in a], dtype=np.intp) for a in nbrs]
         self.neighbor_w = [np.array([w for _, w in a], dtype=float) for a in nbrs]
         self.conductance = np.array([a.sum() for a in self.neighbor_w])
-        self._lock = threading.RLock()
+        # lazy and idempotent: a racing thread only recomputes the same value
         self._laplacian = None
-        self._kernel_cache = {}
         self._grounded_cho = None
-        self._gram_full = None
 
     def index(self, x):
         try:
@@ -69,16 +66,15 @@ class Network:
 
     def laplacian_matrix(self):
         """Dense Laplacian, physics sign convention (nonnegative spectrum)."""
-        with self._lock:
-            if self._laplacian is None:
-                L = np.zeros((self.n, self.n))
-                for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
-                    L[i, j] -= w
-                    L[j, i] -= w
-                    L[i, i] += w
-                    L[j, j] += w
-                self._laplacian = L
-            return self._laplacian
+        if self._laplacian is None:
+            L = np.zeros((self.n, self.n))
+            for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
+                L[i, j] -= w
+                L[j, i] -= w
+                L[i, i] += w
+                L[j, j] += w
+            self._laplacian = L
+        return self._laplacian
 
     def edge_dict(self):
         return {frozenset((x, y)): w for x, y, w in self.edges}

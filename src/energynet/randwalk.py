@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapHit, UnknownVertex
+from .errors import CapHit, InvalidInput, UnknownVertex
 from .numkernel import SymMatrix, spd_solve
 
 
@@ -74,7 +74,7 @@ def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
     estimate over the decided excursions.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidInput("samples must be >= 1")
     xi = net.index(x)
     oi = net.origin_index
     if xi == oi:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -150,6 +153,26 @@ def test_error_exit_code(capsys):
     assert main(["gram", "--gen", "path:3", "--F", "0,1"]) == 2
     assert main(["kernel", "--gen", "nosuch:3", "--vertex", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--gen", "path:3", "--F", "1,1"],
+        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
+        ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "0"],
+        ["kernel", "--gen", "path:abc", "--vertex", "1"],
+    ],
+)
+def test_invalid_input_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "energynet.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_csv_format(capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
-from energynet.energy import full_gram, ground, zero_vector
+from energynet.energy import ground, zero_vector
 from energynet.errors import NetworkMismatch, OriginInF, UnknownVertex
 
 from conftest import random_energy_vector, random_network, x_vertices
@@ -102,11 +103,44 @@ def test_gram_matrix_rejects_origin(p3):
 
 
 def test_gram_reproducing_consistency(test_net):
-    gm = full_gram(test_net)
+    gm = en.gram_matrix(test_net, x_vertices(test_net))
     for i, x in enumerate(gm.F):
         vx = en.energy_kernel(test_net, x)
         for j, y in enumerate(gm.F):
             assert abs(gm.V.a[i, j] - vx[y]) <= 1e-9
+
+
+def test_gram_cross_check_catches_bad_solve(monkeypatch):
+    net = en.generate("integer_segment", 12)
+    en.gram_matrix(net, [3, 7, 9])
+    solve = scipy.linalg.cho_solve
+
+    def perturbed(factor, rhs):
+        sol = solve(factor, rhs)
+        sol[:, 1] += 1e-6
+        return sol
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", perturbed)
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(7,7\)"):
+        en.gram_matrix(net, [3, 7, 9])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 14), st.integers(0, 10**6), st.data())
+def test_gram_subset_and_sufficiency_match_full(n, seed, data):
+    net = random_network(n, seed=seed)
+    xs = x_vertices(net)
+    F = data.draw(st.permutations(xs))[: data.draw(st.integers(1, len(xs)))]
+    full = en.gram_matrix(net, xs).V.a
+    pos = [xs.index(x) for x in F]
+    np.testing.assert_allclose(en.gram_matrix(net, F).V.a, full[np.ix_(pos, pos)],
+                               rtol=0, atol=1e-12)
+
+    f = np.random.default_rng(seed).normal(size=net.n)
+    f[::3] = 0.0
+    m = en.Multiplier(net, f)
+    expected = sum(abs(f[net.index(x)]) * en.point_mass_norm(net, x) for x in xs)
+    assert en.sufficiency_bound(m) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_delta_gram(p3):
