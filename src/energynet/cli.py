@@ -36,49 +36,49 @@ def _build_net(args):
     raise EnergyNetError("a network source is required: --gen or --net")
 
 
-def _parse_multiplier(net, spec):
+def _number(tok):
+    """A finite number from a command-line token, JSON number or [re, im]."""
+    try:
+        z = complex(*tok) if isinstance(tok, list) else complex(tok)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{tok!r} is not a number") from None
+    if not np.isfinite(z):
+        raise InvalidInput(f"{tok!r} is not a finite number")
+    return z
+
+
+def _parse_multiplier(net, spec, file_key="f"):
+    """Multiplier of delta:<v> | kernel:<v> | const:<c> | file:<path>; a file
+    maps vertices to numbers or [re, im] pairs under file_key."""
     kind, _, arg = spec.partition(":")
     if kind == "delta":
         return multop.Multiplier.delta(net, _parse_vertex(arg))
     if kind == "kernel":
         return multop.Multiplier.from_kernel(net, _parse_vertex(arg))
     if kind == "const":
-        return multop.Multiplier.constant(net, complex(arg) if "j" in arg else float(arg))
+        return multop.Multiplier.constant(net, _number(arg))
     if kind == "file":
-        with open(arg) as fh:
-            doc = json.load(fh)
-        vals = {
-            _parse_vertex(k): (complex(v[0], v[1]) if isinstance(v, list) else v)
-            for k, v in doc["f"].items()
-        }
-        return multop.Multiplier.from_dict(net, vals)
-    raise EnergyNetError(f"unknown multiplier spec {spec!r}")
+        try:
+            with open(arg) as fh:
+                items = json.load(fh)[file_key].items()
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise InvalidInput(f"cannot read {file_key!r} from {arg!r}: {exc}") from None
+        return multop.Multiplier.from_dict(net, {_parse_vertex(k): _number(v) for k, v in items})
+    raise EnergyNetError(f"unknown spec {spec!r}")
 
 
 def _parse_vector(net, spec):
-    kind, _, arg = spec.partition(":")
-    if kind == "kernel":
-        return energy.energy_kernel(net, _parse_vertex(arg))
-    if kind == "delta":
-        return energy.delta(net, _parse_vertex(arg))
-    if kind == "const":
-        return energy.ground(net, np.full(net.n, float(arg)))
-    if kind == "file":
-        with open(arg) as fh:
-            doc = json.load(fh)
-        vals = {
-            _parse_vertex(k): (complex(v[0], v[1]) if isinstance(v, list) else v)
-            for k, v in doc["values"].items()
-        }
-        return energy.ground(net, network.VertexFunction.from_dict(net, vals).values)
-    raise EnergyNetError(f"unknown vector spec {spec!r}")
+    return energy.ground(net, _parse_multiplier(net, spec, "values").f)
 
 
 def _parse_exhaustion(net, spec):
     xs = [net.vertices[i] for i in energy.x_indices(net)]
     if spec is None or spec == "all":
         return multop.default_exhaustion(net)
-    sizes = sorted({int(tok) for tok in spec.split(",")})
+    try:
+        sizes = sorted({int(tok) for tok in spec.split(",")})
+    except ValueError:
+        raise InvalidInput(f"exhaustion sizes {spec!r} are not integers") from None
     if any(s < 1 or s > len(xs) for s in sizes):
         raise EnergyNetError(f"exhaustion sizes must lie in 1..{len(xs)}")
     return [tuple(xs[:s]) for s in sizes]

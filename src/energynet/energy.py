@@ -27,7 +27,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import Network, VertexFunction, laplacian_apply
-from .numkernel import SymMatrix, gram_schmidt_V, spd_solve, sqrtm_psd
+from .numkernel import SymMatrix, spd_solve, sqrtm_psd
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,6 @@ class GramMatrix:
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(str(exc)) from None
         return self._cho
-
-    def orthonormalizer(self):
-        """Upper-triangular C with C* V C = I (kernel-vector Gram-Schmidt)."""
-        return gram_schmidt_V(self.V)
 
 
 def gram_matrix(net, F):

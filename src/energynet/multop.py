@@ -1,7 +1,8 @@
 """Multiplication operators on the energy space: pointwise action, adjoints,
-psd boundedness certificates, restricted norms over finite vertex sets,
-closed-form point-mass norms, rank-one operator identities, and truncation
-consistency checks.
+restricted norms and psd boundedness certificates over a nested exhaustion
+F_1 c ... c F_m (one Gram matrix over F_m; each level reads V_F as a block
+of it), closed-form point-mass norms, rank-one operator identities, and
+truncation consistency checks.
 
 Operators on a finite network are represented, where matrices are needed,
 in the Dirac coordinate basis over X = G \\ {o}: a grounded u is exactly
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
+    delta,
     delta_gram,
     effective_resistance,
     energy_form,
@@ -26,7 +28,7 @@ from .energy import (
     x_indices,
 )
 from .errors import InsufficientEnclosure, InvalidInput, NetworkMismatch, UnknownVertex
-from .network import total_conductance
+from .network import VertexFunction, total_conductance
 from .numkernel import SymMatrix, gen_eig_max, gram_schmidt_V, psd_check
 
 
@@ -43,11 +45,7 @@ class Multiplier:
 
     @classmethod
     def from_dict(cls, net, mapping):
-        vals = np.zeros(net.n, dtype=complex)
-        for x, v in mapping.items():
-            vals[net.index(x)] = v
-        if not np.any(vals.imag):
-            vals = vals.real
+        vals = VertexFunction.from_dict(net, mapping).values
         vals.setflags(write=False)
         return cls(net, vals)
 
@@ -57,18 +55,17 @@ class Multiplier:
 
     @classmethod
     def constant(cls, net, c):
-        vals = np.full(net.n, c, dtype=complex)
-        if not np.any(vals.imag):
-            vals = vals.real
-        vals.setflags(write=False)
-        return cls(net, vals)
+        return cls.from_dict(net, dict.fromkeys(net.vertices, c))
 
     @classmethod
     def from_kernel(cls, net, x):
         """f = v_x as a function (the unbounded-growth example)."""
-        vals = energy_kernel(net, x).values.copy()
-        vals.setflags(write=False)
-        return cls(net, vals)
+        return cls.from_dict(net, dict(zip(net.vertices, energy_kernel(net, x).values)))
+
+
+def _require_in_X(net, *xs):
+    if net.origin_index in [net.index(x) for x in xs]:
+        raise UnknownVertex("x must lie in X = G \\ {o}")
 
 
 def apply(m, u):
@@ -81,10 +78,8 @@ def apply(m, u):
 def adjoint_on_kernel(m, x):
     """M* v_x = conj(f(x)) v_x: the adjoint scales kernel elements by the
     scalar conj(f(x)), not the function conj(f)."""
-    net = m.net
-    if net.index(x) == net.origin_index:
-        raise UnknownVertex("x must lie in X = G \\ {o}")
-    return complex(np.conj(m[x])) * energy_kernel(net, x)
+    _require_in_X(m.net, x)
+    return complex(np.conj(m[x])) * energy_kernel(m.net, x)
 
 
 def hermitian_defect(m, u, v):
@@ -92,44 +87,69 @@ def hermitian_defect(m, u, v):
     return energy_form(apply(m, u), v) - energy_form(u, apply(m, v))
 
 
+def _nested_levels(m, exhaustion=None):
+    """Check a nested exhaustion F_1 c ... c F_m and build V_{F_m} once.  The
+    returned function yields (F, P_F, V_F) per level, sliced one at a time:
+    V_F is a principal block of V_{F_m} and P_F = f(x) conj(f(y)) over F."""
+    if exhaustion is None:
+        exhaustion = default_exhaustion(m.net)
+    exhaustion = [tuple(F) for F in exhaustion]
+    if not exhaustion or not all(F and len(set(F)) == len(F) for F in exhaustion):
+        raise InvalidInput("each set F must be a nonempty list of distinct vertices")
+    for prev, cur in zip(exhaustion, exhaustion[1:]):
+        if not set(prev) <= set(cur):
+            raise ValueError("exhaustion sets must be nested")
+    outer = exhaustion[-1]
+    V = gram_matrix(m.net, outer).V.a
+    fv = np.array([m[x] for x in outer])
+    pos = {x: i for i, x in enumerate(outer)}
+
+    def levels():
+        for F in exhaustion:
+            p = [pos[x] for x in F]
+            # the outermost level reads V itself: a copy would raise peak memory
+            yield F, np.outer(fv[p], np.conj(fv[p])), V if F == outer else V[np.ix_(p, p)]
+
+    return levels
+
+
+def _s(b, P, V):
+    """S_F = (b^2 - P_F) V_F entrywise."""
+    if not (np.isfinite(b) and b >= 0):
+        raise InvalidInput("b must be finite and nonnegative")
+    return SymMatrix.from_array((b**2 - P) * V, tol=1e-9)
+
+
+def _rho(P, V):
+    """sqrt of the top eigenvalue of the pencil (D_F V_F D_F* = P_F V_F, V_F)."""
+    lam, _ = gen_eig_max(SymMatrix.from_array(P * V, tol=1e-9), V)
+    return float(np.sqrt(max(lam, 0.0)))
+
+
 def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
-    if b < 0:
-        raise InvalidInput("b must be nonnegative")
-    F = tuple(F)
-    V = gram_matrix(m.net, F).V.a
-    fv = np.array([m[x] for x in F])
-    S = (b**2 - np.outer(fv, np.conj(fv))) * V
-    return SymMatrix.from_array(S, tol=1e-9)
+    ((_, P, V),) = _nested_levels(m, [F])()
+    return _s(b, P, V)
 
 
 def certify_bound(m, b, exhaustion):
     """psd-check s_f over a nested exhaustion.  All-psd is the
     finite-truncation certificate for ||M_f|| <= b; any failure carries a
     rigorous witness vector for ||M_f|| > b."""
-    exhaustion = [tuple(F) for F in exhaustion]
-    for prev, cur in zip(exhaustion, exhaustion[1:]):
-        if not set(prev) <= set(cur):
-            raise ValueError("exhaustion sets must be nested")
-    return [psd_check(s_matrix(m, b, F)) for F in exhaustion]
+    return [psd_check(_s(b, P, V)) for _, P, V in _nested_levels(m, exhaustion)()]
 
 
 def restricted_norm(m, F):
     """Norm of M* restricted to span{v_x : x in F}: the square root of the
     largest eigenvalue of the pencil (D_F V_F D_F*, V_F)."""
-    F = tuple(F)
-    V = gram_matrix(m.net, F).V.a
-    fv = np.array([m[x] for x in F])
-    A = np.outer(fv, np.conj(fv)) * V
-    lam, _ = gen_eig_max(SymMatrix.from_array(A, tol=1e-9), SymMatrix.from_array(V, tol=1e-9))
-    return float(np.sqrt(max(lam, 0.0)))
+    ((_, P, V),) = _nested_levels(m, [F])()
+    return _rho(P, V)
 
 
 def point_mass_norm(net, x):
     """||M_{delta_x}|| = sqrt(c(x) R(x)) = ||delta_x|| ||v_x||."""
-    if net.index(x) == net.origin_index:
-        raise UnknownVertex("x must lie in X = G \\ {o}")
+    _require_in_X(net, x)
     return float(np.sqrt(total_conductance(net, x) * effective_resistance(net, x)))
 
 
@@ -182,15 +202,14 @@ def rank_one_identities(net, x, y, sample_u=None):
     M_x* M_y = <d_x, d_y> |v_x><v_y| and M_x M_y* = <v_x, v_y> |d_x><d_y|
     against a numerically computed adjoint, on sampled vectors and the
     kernel basis.  Returns the maximum relative energy-norm discrepancy."""
+    _require_in_X(net, x, y)
     L = _dirac_gram(net)
     samples = _default_samples(net) + list(sample_u or [])
-    dx, dy = Multiplier.delta(net, x), Multiplier.delta(net, y)
     vx, vy = energy_kernel(net, x), energy_kernel(net, y)
-    deltax = _from_coeff(net, np.eye(net.n - 1)[_x_pos(net, x)])
-    deltay = _from_coeff(net, np.eye(net.n - 1)[_x_pos(net, y)])
+    deltax, deltay = delta(net, x), delta(net, y)
 
-    Mx = np.diag(dx.f[x_indices(net)])
-    My = np.diag(dy.f[x_indices(net)])
+    Mx = np.diag(_coeff(deltax))
+    My = np.diag(_coeff(deltay))
     Mx_star = _adjoint(Mx, L)
     My_star = _adjoint(My, L)
 
@@ -212,10 +231,6 @@ def rank_one_identities(net, x, y, sample_u=None):
     return worst
 
 
-def _x_pos(net, x):
-    return x_indices(net).index(net.index(x))
-
-
 def _op_energy_norm(A, L_half, L_half_inv):
     return float(np.linalg.norm(L_half @ A @ L_half_inv, 2))
 
@@ -225,6 +240,7 @@ def normalized_projections(net, x, y):
     direction) and D_x = |d_x><d_x| (Dirac direction): idempotence, the
     escape-probability scalings against M_x* M_x and M_x M_x*, and the four
     displayed product rules.  Returns the max operator-norm residual."""
+    _require_in_X(net, x, y)
     L = _dirac_gram(net)
     w, q = np.linalg.eigh(L)
     L_half = (q * np.sqrt(w)) @ q.T
@@ -234,8 +250,7 @@ def normalized_projections(net, x, y):
         return vec * (1.0 / np.sqrt(vec.energy))
 
     vx, vy = energy_kernel(net, x), energy_kernel(net, y)
-    dxv = _from_coeff(net, np.eye(net.n - 1, dtype=float)[_x_pos(net, x)])
-    dyv = _from_coeff(net, np.eye(net.n - 1, dtype=float)[_x_pos(net, y)])
+    dxv, dyv = delta(net, x), delta(net, y)
     ux, uy = unit(vx), unit(vy)
     dx, dy = unit(dxv), unit(dyv)
 
@@ -244,7 +259,7 @@ def normalized_projections(net, x, y):
     Dx = _ketbra(net, dx, dx, L)
     Dy = _ketbra(net, dy, dy, L)
 
-    Mx = np.diag(Multiplier.delta(net, x).f[x_indices(net)])
+    Mx = np.diag(_coeff(dxv))
     Mx_star = _adjoint(Mx, L)
     p_esc = 1.0 / (total_conductance(net, x) * effective_resistance(net, x))
 
@@ -269,9 +284,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     projects onto span{v_x : x in F_n}.  F_m must contain F_n and enclose
     the neighbors of supp(f) inside F_n."""
     net = m.net
-    F_n, F_m = tuple(F_n), tuple(F_m)
-    if not set(F_n) <= set(F_m):
-        raise ValueError("F_n must be contained in F_m")
+    (F_n, _, V), (F_m, _, _) = _nested_levels(m, [F_n, F_m])()
     outer = set(net.index(z) for z in F_m) | {net.origin_index}
     for z in F_n:
         zi = net.index(z)
@@ -281,7 +294,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
             )
 
     L = _dirac_gram(net)
-    C = gram_schmidt_V(gram_matrix(net, F_n).V)
+    C = gram_schmidt_V(V)
     K = kernel_columns(net, [net.index(z) for z in F_n])[x_indices(net)]
     B = K @ C  # orthonormal basis coefficients
     P = B @ (B.conj().T @ L)
@@ -342,34 +355,26 @@ def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
     (or at the best lower bound when estimating)."""
-    net = m.net
-    if exhaustion is None:
-        exhaustion = default_exhaustion(net)
-    exhaustion = [tuple(F) for F in exhaustion]
-    lower = []
-    prev = 0.0
-    for F in exhaustion:
-        rho = restricted_norm(m, F)
-        if rho < prev - 1e-7 * max(1.0, prev):
+    levels = _nested_levels(m, exhaustion)
+    lower = [(F, _rho(P, V)) for F, P, V in levels()]
+    best_lower = 0.0
+    for _, rho in lower:
+        if rho < best_lower - 1e-7 * max(1.0, best_lower):
             raise ArithmeticError(
-                f"restricted norm decreased along the exhaustion: {prev} -> {rho}"
+                f"restricted norm decreased along the exhaustion: {best_lower} -> {rho}"
             )
-        lower.append((F, rho))
-        prev = max(prev, rho)
-    best_lower = max(r for _, r in lower)
+        best_lower = max(best_lower, rho)
     upper = sufficiency_bound(m)
     if best_lower > upper + 1e-7 * max(1.0, upper):
         raise ArithmeticError(
             f"lower bound {best_lower} exceeds sufficiency bound {upper}"
         )
+    b = best_lower * (1 + 1e-9) + 1e-12 if bound is None else bound
+    certs = [(b, psd_check(_s(b, P, V))) for _, P, V in levels()]
+    ok = all(v.is_psd for _, v in certs)
     if bound is not None:
-        certs = list(zip([bound] * len(exhaustion), certify_bound(m, bound, exhaustion)))
-        ok = all(v.is_psd for _, v in certs)
         verdict = f"PASS<={bound:.12g}" if ok else f"FAIL>{bound:.12g}"
     else:
-        b = best_lower * (1 + 1e-9) + 1e-12
-        certs = list(zip([b] * len(exhaustion), certify_bound(m, b, exhaustion)))
-        ok = all(v.is_psd for _, v in certs)
         verdict = f"certified<={best_lower:.12g}" if ok else "inconclusive"
     return MultiplierReport(lower, best_lower, upper, certs, verdict)
 
@@ -377,11 +382,10 @@ def analyze(m, exhaustion=None, bound=None):
 def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
     """Smallest b (to absolute tolerance) at which certify_bound passes on
     the exhaustion.  Defaults bracket [0, sufficiency_bound]."""
-    if exhaustion is None:
-        exhaustion = default_exhaustion(m.net)
+    levels = _nested_levels(m, exhaustion)
 
     def certified(b):
-        return all(v.is_psd for v in certify_bound(m, b, exhaustion))
+        return all(psd_check(_s(b, P, V)).is_psd for _, P, V in levels())
 
     if hi is None:
         hi = sufficiency_bound(m)

@@ -50,7 +50,7 @@ class Network:
         self.neighbor_idx = [np.array([k for k, _ in a], dtype=np.intp) for a in nbrs]
         self.neighbor_w = [np.array([w for _, w in a], dtype=float) for a in nbrs]
         self.conductance = np.array([a.sum() for a in self.neighbor_w])
-        # lazy and idempotent: a racing thread only recomputes the same value
+        # built on first use and kept for the life of the network
         self._laplacian = None
         self._grounded_cho = None
 

@@ -162,6 +162,14 @@ def test_error_exit_code(capsys):
         ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
         ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "0"],
         ["kernel", "--gen", "path:abc", "--vertex", "1"],
+        ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "a,b"],
+        ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "2,,3"],
+        ["mult", "--gen", "path:3", "--f", "const:abc"],
+        ["mult", "--gen", "path:3", "--f", "const:nan"],
+        ["mult", "--gen", "path:3", "--f", "file:/missing"],
+        ["banach", "--gen", "path:3", "--u", "const:x"],
+        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "nan"],
+        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "inf"],
     ],
 )
 def test_invalid_input_exits_2(argv):

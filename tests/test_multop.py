@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
-from energynet.errors import InsufficientEnclosure, OriginInF, UnknownVertex
+from energynet import multop
+from energynet.errors import InsufficientEnclosure, InvalidInput, OriginInF, UnknownVertex
 from energynet.multop import (
     Multiplier,
     adjoint_on_kernel,
@@ -81,8 +82,13 @@ def test_s_matrix_hand_values(p3):
 
 def test_s_matrix_rejects_bad_input(p3):
     m = Multiplier.delta(p3, 1)
-    with pytest.raises(ValueError):
-        s_matrix(m, -1.0, [1])
+    for b in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            s_matrix(m, b, [1])
+        with pytest.raises(InvalidInput):
+            certify_bound(m, b, [(1,), (1, 2)])
+        with pytest.raises(InvalidInput):
+            analyze(m, bound=b)
     with pytest.raises(OriginInF):
         s_matrix(m, 1.0, [0, 1])
 
@@ -91,8 +97,73 @@ def test_certify_bound_nesting(p3):
     m = Multiplier.delta(p3, 1)
     with pytest.raises(ValueError):
         certify_bound(m, 2.0, [(1, 2), (1,)])
+    # the nesting check runs before any eigensolve (the trace would decrease)
+    with pytest.raises(ValueError, match="nested"):
+        analyze(m, [(1, 2), (1,)])
     verdicts = certify_bound(m, 2.0, [(1,), (1, 2)])
     assert all(v.is_psd for v in verdicts)
+
+
+@pytest.mark.parametrize("exhaustion", [[(1, 1), (1, 2)], [(), (1,)], []])
+def test_exhaustion_levels_validated(p3, exhaustion):
+    m = Multiplier.delta(p3, 1)
+    with pytest.raises(InvalidInput):
+        analyze(m, exhaustion)
+    with pytest.raises(InvalidInput):
+        certify_bound(m, 2.0, exhaustion)
+    with pytest.raises(InvalidInput):
+        bisect_bound(m, exhaustion)
+
+
+def test_one_gram_per_exhaustion(monkeypatch):
+    net = en.generate("integer_segment", 12)
+    m = Multiplier.from_kernel(net, 3)
+    exhaustion = default_exhaustion(net)
+    calls = []
+    gram_matrix = multop.gram_matrix
+    monkeypatch.setattr(
+        multop, "gram_matrix", lambda net, F: calls.append(tuple(F)) or gram_matrix(net, F)
+    )
+    for run in (
+        lambda: analyze(m),
+        lambda: analyze(m, exhaustion, bound=5.0),
+        lambda: certify_bound(m, 5.0, exhaustion),
+        lambda: bisect_bound(m),
+    ):
+        calls.clear()
+        run()
+        assert calls == [exhaustion[-1]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_nested_levels_match_per_level(seed):
+    """On a nested exhaustion whose outer set is shuffled, so each level is a
+    principal (not leading) block of the outer Gram, analyze and
+    certify_bound agree with the one-set functions level by level."""
+    rng = np.random.default_rng(seed)
+    net = random_network(9, seed=seed % 50)
+    fvals = rng.normal(size=net.n) + 1j * rng.normal(size=net.n)
+    m = Multiplier(net, fvals)
+    xs = x_vertices(net)
+    joined = [xs[i] for i in rng.permutation(len(xs))]  # order of entry
+    sizes = sorted(set(rng.integers(1, len(xs) + 1, size=3)) | {len(xs)})
+    exhaustion = [tuple(joined[i] for i in rng.permutation(s)) for s in sizes]
+    exhaustion[-1] = tuple(xs[i] for i in rng.permutation(len(xs)))
+
+    def close(a, b):
+        return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    rep = analyze(m, exhaustion)
+    b = rep.psd_certificates[0][0]
+    for (F, rho), (_, v) in zip(rep.lower_bounds, rep.psd_certificates):
+        assert close(rho, restricted_norm(m, F))
+        one = en.psd_check(s_matrix(m, b, F))
+        assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
+    b = rep.best_lower * rng.uniform(0.5, 1.5)
+    for F, v in zip(exhaustion, certify_bound(m, b, exhaustion)):
+        one = en.psd_check(s_matrix(m, b, F))
+        assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
 
 
 def test_restricted_norm_hand_value(p3):
@@ -166,6 +237,13 @@ def test_rank_one_identities(test_net):
     xs = x_vertices(test_net)
     resid = rank_one_identities(test_net, xs[0], xs[-1])
     assert resid <= 1e-9
+
+
+def test_rank_one_checks_reject_origin(p3):
+    for check in (rank_one_identities, normalized_projections):
+        for x, y in ((0, 1), (1, 0)):
+            with pytest.raises(UnknownVertex):
+                check(p3, x, y)
 
 
 def test_normalized_projections(test_net):
