@@ -2,7 +2,8 @@
 
 Subcommands: kernel, gram, mult, walk, banach.  Networks come either from a
 generator spec (--gen path:3) or a file (--net graph.json / graph.csv with
---origin).  Exit codes: 0 pass, 1 certified failure, 2 error.
+--origin).  Exit codes: 0 pass, 1 certified failure, 2 error, 3 internal
+error (an invariant check failed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from . import energy, multop, network, randwalk
-from .errors import EnergyNetError, InvalidInput
+from .errors import EnergyNetError, InvalidInput, InvariantViolation
 from .network import _parse_vertex
 
 
@@ -32,7 +33,10 @@ def _build_net(args):
         return network.generate(family, size)
     if getattr(args, "net", None):
         origin = _parse_vertex(args.origin) if args.origin is not None else None
-        return network.load_network(args.net, origin=origin)
+        try:
+            return network.load_network(args.net, origin=origin)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read network file {args.net!r}: {exc}") from None
     raise EnergyNetError("a network source is required: --gen or --net")
 
 
@@ -187,6 +191,8 @@ def cmd_mult(args):
 def cmd_walk(args):
     net = _build_net(args)
     x = _parse_vertex(args.vertex)
+    if not 0 <= args.seed < 2**128:
+        raise InvalidInput(f"--seed {args.seed} is outside [0, 2**128)")
     est = randwalk.escape_prob_mc(net, x, args.samples, args.seed)
     identity = (
         network.total_conductance(net, x) * energy.effective_resistance(net, x) * est.exact
@@ -202,7 +208,7 @@ def cmd_walk(args):
 def cmd_banach(args):
     net = _build_net(args)
     doc = {"command": "banach"}
-    if args.u2:
+    if args.u2 is not None:
         u1 = _parse_vector(net, args.u)
         u2 = _parse_vector(net, args.u2)
         prod, est = energy.pointwise_product(u1, u2)
@@ -280,6 +286,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except EnergyNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

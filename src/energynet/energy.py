@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .errors import (
     InvalidInput,
+    InvariantViolation,
     NetworkMismatch,
     NotPositiveDefinite,
     OriginInF,
@@ -188,7 +189,7 @@ def gram_matrix(net, F):
     bad = np.triu(np.abs(form - V) > 1e-9 * np.maximum(1.0, np.abs(form)))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form[i, j]!r} "
             f"disagrees with kernel value {V[i, j]!r}"
         )
@@ -274,7 +275,7 @@ def pointwise_product(u1, u2):
     )
     est = ProductEstimate(prod.energy, float(bound))
     if est.product_energy_sq > est.bound + 1e-9:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"product energy {est.product_energy_sq} exceeds its bound {est.bound}"
         )
     return prod, est

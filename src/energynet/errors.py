@@ -37,6 +37,11 @@ class InvalidInput(EnergyNetError, ValueError):
     """A user-supplied argument is out of its domain."""
 
 
+class InvariantViolation(EnergyNetError, ArithmeticError):
+    """An internal consistency check failed: a bug or numerical breakdown,
+    not bad input."""
+
+
 class ParseError(EnergyNetError):
     """Malformed network or function file; message carries field context."""
 

@@ -27,7 +27,13 @@ from .energy import (
     kernel_columns,
     x_indices,
 )
-from .errors import InsufficientEnclosure, InvalidInput, NetworkMismatch, UnknownVertex
+from .errors import (
+    InsufficientEnclosure,
+    InvalidInput,
+    InvariantViolation,
+    NetworkMismatch,
+    UnknownVertex,
+)
 from .network import VertexFunction, total_conductance
 from .numkernel import SymMatrix, gen_eig_max, gram_schmidt_V, psd_check
 
@@ -261,10 +267,10 @@ def normalized_projections(net, x, y):
 
     Mx = np.diag(_coeff(dxv))
     Mx_star = _adjoint(Mx, L)
-    p_esc = 1.0 / (total_conductance(net, x) * effective_resistance(net, x))
 
     rx, ry = effective_resistance(net, x), effective_resistance(net, y)
     cx, cy = total_conductance(net, x), total_conductance(net, y)
+    p_esc = 1.0 / (cx * rx)
     residuals = [
         Ux @ Ux - Ux,
         Dx @ Dx - Dx,
@@ -360,13 +366,13 @@ def analyze(m, exhaustion=None, bound=None):
     best_lower = 0.0
     for _, rho in lower:
         if rho < best_lower - 1e-7 * max(1.0, best_lower):
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"restricted norm decreased along the exhaustion: {best_lower} -> {rho}"
             )
         best_lower = max(best_lower, rho)
     upper = sufficiency_bound(m)
     if best_lower > upper + 1e-7 * max(1.0, upper):
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"lower bound {best_lower} exceeds sufficiency bound {upper}"
         )
     b = best_lower * (1 + 1e-9) + 1e-12 if bound is None else bound

@@ -126,10 +126,10 @@ def sqrtm_psd(A):
 
     Negative eigenvalues within the psd tolerance are clamped to zero.
     """
-    verdict = psd_check(A)
-    if not verdict.is_psd:
-        raise NotPsd(f"lambda_min = {verdict.min_eigenvalue:.3e} < -{verdict.tol:.3e}")
+    tol = default_psd_tol(A)
     w, q = sym_eig(A)
+    if not w[0] >= -tol:
+        raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return SymMatrix.from_array(root, tol=1e-10)
 

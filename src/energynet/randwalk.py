@@ -67,6 +67,19 @@ def escape_prob_exact(net, x):
     return float(np.dot(p_row, h[net.neighbor_idx[xi]]))
 
 
+def _walk_step(net):
+    """step(cur, u): the next vertices of walkers at rows cur for uniforms u in [0, 1).
+
+    One searchsorted in key = row + the row's normalized cumulative weight (last
+    entry exactly 1); the clip to the row's last entry covers cur + u -> cur + 1.
+    """
+    cum = [np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for w in net.neighbor_w]
+    key = np.concatenate([i + c for i, c in enumerate(cum)])
+    nbr = np.concatenate(net.neighbor_idx)
+    last = np.cumsum([c.size for c in cum]) - 1
+    return lambda cur, u: nbr[np.minimum(np.searchsorted(key, cur + u, side="right"), last[cur])]
+
+
 def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
     """Monte Carlo excursion estimate of P[x -> o], reproducible per seed.
 
@@ -80,36 +93,22 @@ def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
     if xi == oi:
         raise UnknownVertex("escape probability from the origin is undefined")
 
-    cum = [np.cumsum(w) / w.sum() for w in net.neighbor_w]
-    nbr = net.neighbor_idx
+    step = _walk_step(net)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    state = np.full(samples, xi, dtype=np.intp)
-    outcome = np.full(samples, -1, dtype=np.int8)  # -1 undecided, 0 fail, 1 success
-    active = np.arange(samples)
+    cur = np.full(samples, xi, dtype=np.intp)  # undecided walkers, in draw order
+    successes = 0
     steps = 0
-    while active.size:
+    while cur.size:
         steps += 1
         if steps > max_steps:
             break
-        cur = state[active]
-        u = rng.random(cur.size)
-        nxt = np.empty_like(cur)
-        for s in np.unique(cur):
-            mask = cur == s
-            pos = np.searchsorted(cum[s], u[mask], side="right")
-            nxt[mask] = nbr[s][np.minimum(pos, len(nbr[s]) - 1)]
-        escaped = nxt == oi
-        returned = nxt == xi
-        outcome[active[escaped]] = 1
-        outcome[active[returned]] = 0
-        undecided = ~(escaped | returned)
-        state[active] = nxt
-        active = active[undecided]
+        cur = step(cur, rng.random(cur.size))
+        successes += int(np.count_nonzero(cur == oi))
+        cur = cur[(cur != oi) & (cur != xi)]
 
-    cap_hits = int(active.size)
+    cap_hits = int(cur.size)
     decided = samples - cap_hits
-    successes = int(np.sum(outcome == 1))
     phat = successes / decided if decided else float("nan")
     stderr = float(np.sqrt(phat * (1 - phat) / decided)) if decided else float("nan")
     est = WalkEstimate(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import energynet as en
 from energynet.cli import main
@@ -181,6 +186,93 @@ def test_invalid_input_exits_2(argv):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    solve = scipy.linalg.cho_solve
+
+    def perturbed(factor, rhs):
+        sol = solve(factor, rhs)
+        sol[:, 1] += 1e-6
+        return sol
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", perturbed)
+    assert main(["gram", "--gen", "integer_segment:12", "--F", "3,7,9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: Gram entry (7,7)") and len(err.splitlines()) == 1
+
+
+_MISSING = "/nonexistent-energynet-dir/missing.json"
+# each template has one slot; filled with its valid value (the network's own
+# size for gen_size) the command exits 0 or 1
+_TEMPLATES = [
+    ("kernel --gen {net} --vertex {vertex}", "vertex"),
+    ("gram --gen {net} --F {vertices} --sqrt", "vertices"),
+    ("mult --gen {net} --f const:{number} --estimate", "number"),
+    ("mult --gen {net} --f delta:1 --bound {number}", "number"),
+    ("mult --gen {net} --f kernel:{vertex} --estimate --exhaust 1", "vertex"),
+    ("mult --gen {net} --f {spec} --estimate", "spec"),
+    ("mult --gen {net} --f delta:1 --estimate --exhaust {sizes}", "sizes"),
+    ("walk --gen {net} --vertex {vertex} --samples 50", "vertex"),
+    ("walk --gen {net} --vertex 1 --samples {count}", "count"),
+    ("walk --gen {net} --vertex 1 --samples 50 --seed {seed}", "seed"),
+    ("banach --gen {net} --u {spec} --u2 kernel:1", "spec"),
+    ("banach --gen {net} --u kernel:1 --u2 {spec}", "spec"),
+    ("banach --gen {net} --u kernel:1 --u2 delta:{vertex}", "vertex"),
+    ("kernel --gen {family}:{gen_size} --vertex 1", "gen_size"),
+    ("kernel --net {file} --origin 0 --vertex 1", "file"),
+]
+_VALID = {
+    "vertex": "1", "vertices": "1", "number": "2.5", "spec": "kernel:1", "sizes": "1",
+    "count": "50", "seed": "3",
+}
+_BAD = {
+    "vertex": ["abc", "nan", "inf", "", "99", "-1", "1,1", "file:" + _MISSING],
+    "vertices": ["abc", "nan", "", "1,1", "1,99", "1,,2", ","],
+    "number": ["abc", "nan", "inf", "-inf", "NaN", "", "1,1", "1e999"],
+    "spec": ["abc", "nan", "", "99", "delta:", "kernel:99", "const:inf", "file:" + _MISSING],
+    "sizes": ["abc", "nan", "inf", "", "1,,2", "0", "99"],
+    "count": ["abc", "nan", "inf", "", "1.5", "0", "-5"],
+    "seed": ["abc", "nan", "inf", "", "1.5", "-1"],
+    "gen_size": ["abc", "nan", "inf", "", "1.5", "0", "-1"],
+    "file": [_MISSING, _MISSING[:-4] + "csv", "/", sys.executable],
+}
+_NETS = st.sampled_from(["path", "cycle", "integer_segment", "binary_tree"]).flatmap(
+    lambda family: st.tuples(
+        st.just(family),
+        st.integers(*{"path": (2, 10), "cycle": (3, 10), "integer_segment": (2, 9),
+                      "binary_tree": (1, 2)}[family]),
+    )
+)
+
+
+def _main_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the token itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TEMPLATES), _NETS, st.data())
+def test_malformed_argv_exits_2(template, net, data):
+    text, slot = template
+    family, size = net
+    bad = data.draw(st.sampled_from(_BAD[slot]))
+    fill = {"net": f"{family}:{size}", "family": family, "gen_size": size, **_VALID}
+
+    def argv(**slots):
+        return [part.format(**{**fill, **slots}) for part in text.split(" ")]
+
+    if slot != "file":
+        assert _main_code(argv())[0] in (0, 1)
+    code, err = _main_code(argv(**{slot: bad}))
+    assert code == 2, (argv(**{slot: bad}), err)
+    assert "Traceback" not in err
 
 
 def test_csv_format(capsys):

@@ -252,6 +252,16 @@ def test_normalized_projections(test_net):
     assert resid <= 1e-9
 
 
+def test_normalized_projections_resistance_once(monkeypatch):
+    calls = []
+    resistance = multop.effective_resistance
+    monkeypatch.setattr(
+        multop, "effective_resistance", lambda net, x: calls.append(x) or resistance(net, x)
+    )
+    assert normalized_projections(en.generate("path", 5), 1, 3) <= 1e-9
+    assert calls == [1, 3]
+
+
 def test_truncation_consistency(p3):
     m = Multiplier.delta(p3, 1)
     assert truncation_consistency(m, [1], [1, 2]) <= 1e-10

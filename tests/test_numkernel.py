@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
+from energynet import numkernel
 from energynet.errors import NotPositiveDefinite, NotPsd
 from energynet.numkernel import SymMatrix, default_psd_tol
 
@@ -87,6 +88,14 @@ def test_sqrtm_psd_diagonal():
 def test_sqrtm_psd_rejects_indefinite():
     with pytest.raises(NotPsd):
         en.sqrtm_psd(sym([[1, 0], [0, -1]]))
+
+
+def test_sqrtm_psd_decomposes_once(monkeypatch):
+    calls = []
+    sym_eig = numkernel.sym_eig
+    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
+    en.gram_matrix(en.generate("integer_segment", 8), [1, 2, 3]).sqrt()
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

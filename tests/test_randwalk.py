@@ -3,9 +3,40 @@ import pytest
 
 import energynet as en
 from energynet.errors import CapHit, UnknownVertex
-from energynet.randwalk import escape_prob_exact, escape_prob_mc, transition_prob
+from energynet.randwalk import _walk_step, escape_prob_exact, escape_prob_mc, transition_prob
 
-from conftest import x_vertices
+from conftest import random_network, x_vertices
+
+
+def _reference_walk(net, x, samples, seed, max_steps):
+    """The per-state stepping loop that the flat table replaced, on the same
+    Philox stream: (escapes, returns, capped)."""
+    xi, oi = net.index(x), net.origin_index
+    cum = [np.cumsum(w) / w.sum() for w in net.neighbor_w]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cur = np.full(samples, xi, dtype=np.intp)
+    escapes = returns = 0
+    for _ in range(max_steps):
+        if not cur.size:
+            break
+        u = rng.random(cur.size)
+        nxt = np.empty_like(cur)
+        for s in np.unique(cur):
+            mask = cur == s
+            pos = np.searchsorted(cum[s], u[mask], side="right")
+            nxt[mask] = net.neighbor_idx[s][np.minimum(pos, len(cum[s]) - 1)]
+        escapes += int(np.sum(nxt == oi))
+        returns += int(np.sum(nxt == xi))
+        cur = nxt[(nxt != oi) & (nxt != xi)]
+    return escapes, returns, int(cur.size)
+
+
+def _skewed_network():
+    # weights spread over three decades; degree-1 leaves and a degree-10 hub
+    net = random_network(30, seed=4, extra_edges=20, wlo=0.01, whi=10.0)
+    degrees = [a.size for a in net.neighbor_idx]
+    assert min(degrees) == 1 and max(degrees) >= 10
+    return net
 
 
 def test_transition_prob(p3):
@@ -59,6 +90,41 @@ def test_point_mass_norm_bridge(test_net):
         )
 
 
+def test_walk_step_shares_match_transition_probs():
+    net = _skewed_network()
+    step = _walk_step(net)
+    m = 10**4
+    u = (np.arange(m) + 0.5) / m
+    for i, x in enumerate(net.vertices):
+        share = np.bincount(step(np.full(m, i, dtype=np.intp), u), minlength=net.n) / m
+        expected = [transition_prob(net, x, y) for y in net.vertices]
+        np.testing.assert_allclose(share, expected, rtol=0, atol=2e-4)
+
+
+def test_walk_step_endpoints():
+    net = _skewed_network()
+    step = _walk_step(net)
+    rows = np.arange(net.n)
+    first = [a[0] for a in net.neighbor_idx]
+    last = [a[-1] for a in net.neighbor_idx]
+    np.testing.assert_array_equal(step(rows, np.zeros(net.n)), first)
+    np.testing.assert_array_equal(step(rows, np.full(net.n, np.nextafter(1.0, 0.0))), last)
+
+
+def test_mc_matches_reference_loop():
+    cases = [
+        (en.generate("binary_tree", 4), 30, 3),
+        (en.generate("cycle", 7), 3, 5),
+        (random_network(12, seed=2), 5, 8),
+        (_skewed_network(), 17, 1),
+    ]
+    for net, x, seed in cases:
+        escapes, returns, capped = _reference_walk(net, x, 4000, seed, 10**9)
+        est = escape_prob_mc(net, x, samples=4000, seed=seed)
+        assert (est.cap_hits, capped) == (0, 0)
+        assert est.mc_estimate == escapes / (escapes + returns)
+
+
 def test_mc_matches_exact(p3):
     est = escape_prob_mc(p3, 1, samples=20000, seed=42)
     assert est.exact == pytest.approx(0.5)
@@ -90,6 +156,9 @@ def test_mc_cap_hit():
     assert est.samples == 2000
     # the partial estimate over decided excursions is still carried
     assert 0.0 <= est.mc_estimate <= 1.0 or np.isnan(est.mc_estimate)
+    escapes, returns, _ = _reference_walk(seg, 15, 2000, 1, 3)
+    decided = escapes + returns
+    assert est.cap_hits + decided == est.samples
 
 
 def test_mc_on_random_net():
