@@ -1,8 +1,8 @@
 """Multiplication operators on the energy space: pointwise action, adjoints,
 restricted norms and psd boundedness certificates over a nested exhaustion
-F_1 c ... c F_m (one Gram matrix over F_m; each level reads V_F as a block
-of it), closed-form point-mass norms, rank-one operator identities, and
-truncation consistency checks.
+F_1 c ... c F_m (one Gram matrix over F_m and one triangular matrix for
+the whole trace), closed-form point-mass norms, rank-one operator
+identities, and truncation consistency checks.
 
 Operators on a finite network are represented, where matrices are needed,
 in the Dirac coordinate basis over X = G \\ {o}: a grounded u is exactly
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .energy import (
     delta,
@@ -35,29 +36,16 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, gen_eig_max, gram_schmidt_V, psd_check
+from .numkernel import SymMatrix, gram_schmidt_V, psd_check
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(VertexFunction):
     """Pointwise multiplier f; the value at the origin is recorded but
     irrelevant after re-grounding."""
 
-    net: Network
-    f: np.ndarray
-
-    def __getitem__(self, x):
-        return self.f[self.net.index(x)]
-
-    @classmethod
-    def from_dict(cls, net, mapping):
-        vals = VertexFunction.from_dict(net, mapping).values
-        vals.setflags(write=False)
-        return cls(net, vals)
-
-    @classmethod
-    def delta(cls, net, x):
-        return cls.from_dict(net, {x: 1.0})
+    @property
+    def f(self):
+        return self.values
 
     @classmethod
     def constant(cls, net, c):
@@ -94,9 +82,14 @@ def hermitian_defect(m, u, v):
 
 
 def _nested_levels(m, exhaustion=None):
-    """Check a nested exhaustion F_1 c ... c F_m and build V_{F_m} once.  The
-    returned function yields (F, P_F, V_F) per level, sliced one at a time:
-    V_F is a principal block of V_{F_m} and P_F = f(x) conj(f(y)) over F."""
+    """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
+    ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
+    a leading block.  Returns (levels, trace).  levels() yields (F, P_F, V_F)
+    one level at a time in F's own order, with P_F = f(x) conj(f(y)).
+    trace() returns (F, rho_F) per level from T = U D* U^{-1}, where V = U^T U
+    is the Gram matrix's Cholesky factor and D = diag(f): T is upper
+    triangular and the pencil (P_F o V_F, V_F) on a leading k x k block is
+    T_k^H T_k.  It runs once and then releases U and T."""
     if exhaustion is None:
         exhaustion = default_exhaustion(m.net)
     exhaustion = [tuple(F) for F in exhaustion]
@@ -105,18 +98,49 @@ def _nested_levels(m, exhaustion=None):
     for prev, cur in zip(exhaustion, exhaustion[1:]):
         if not set(prev) <= set(cur):
             raise ValueError("exhaustion sets must be nested")
-    outer = exhaustion[-1]
-    V = gram_matrix(m.net, outer).V.a
-    fv = np.array([m[x] for x in outer])
-    pos = {x: i for i, x in enumerate(outer)}
+    order = tuple(dict.fromkeys(x for F in exhaustion for x in F))
+    gram = gram_matrix(m.net, order)
+    V = gram.V.a
+    fv = np.array([m[x] for x in order])
+    pos = {x: i for i, x in enumerate(order)}
 
     def levels():
         for F in exhaustion:
             p = [pos[x] for x in F]
             # the outermost level reads V itself: a copy would raise peak memory
-            yield F, np.outer(fv[p], np.conj(fv[p])), V if F == outer else V[np.ix_(p, p)]
+            yield F, np.outer(fv[p], np.conj(fv[p])), V if F == order else V[np.ix_(p, p)]
 
-    return levels
+    def trace():
+        nonlocal gram
+        (U, _), gram = gram.cholesky(), None
+        # W = T^T = U^{-T} (D* U^T), solved in place of its right-hand side;
+        # cho_factor leaves V's entries below U's diagonal, hence the triu
+        W = np.triu(U).T * np.conj(fv)[:, None]
+        W = scipy.linalg.solve_triangular(U, W, trans="T", overwrite_b=True, check_finite=False)
+        out = []
+        for F in exhaustion:
+            k = len(F)
+            Wk = W[:k, :k]
+            # T_k^H T_k, Fortran-ordered so that eigh works in place; the full
+            # "evd" solve, because subset drivers fail on clustered spectra
+            w, q = scipy.linalg.eigh(
+                (Wk @ Wk.conj().T).T, overwrite_a=True, check_finite=False, driver="evd"
+            )
+            lam = float(w[-1])
+            xi = scipy.linalg.solve_triangular(U[:k, :k], q[:, -1], check_finite=False)
+            xi /= np.linalg.norm(xi)
+            fk, Vk, d = fv[:k], V[:k, :k], np.diagonal(V)[:k]
+            resid = np.linalg.norm(fk * (Vk @ (np.conj(fk) * xi)) - lam * (Vk @ xi))
+            # diagonal entries of psd matrices bound their spectral norms below
+            scale = np.max(np.abs(fk) ** 2 * d) + abs(lam) * d.max()
+            if resid > 1e-8 * max(scale, 1e-300):
+                raise InvariantViolation(
+                    f"pencil residual {resid:.3e} exceeds tolerance at |F| = {k}"
+                )
+            out.append((F, float(np.sqrt(max(lam, 0.0)))))
+        return out
+
+    return levels, trace
 
 
 def _s(b, P, V):
@@ -126,16 +150,10 @@ def _s(b, P, V):
     return SymMatrix.from_array((b**2 - P) * V, tol=1e-9)
 
 
-def _rho(P, V):
-    """sqrt of the top eigenvalue of the pencil (D_F V_F D_F* = P_F V_F, V_F)."""
-    lam, _ = gen_eig_max(SymMatrix.from_array(P * V, tol=1e-9), V)
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
-    ((_, P, V),) = _nested_levels(m, [F])()
+    ((_, P, V),) = _nested_levels(m, [F])[0]()
     return _s(b, P, V)
 
 
@@ -143,14 +161,14 @@ def certify_bound(m, b, exhaustion):
     """psd-check s_f over a nested exhaustion.  All-psd is the
     finite-truncation certificate for ||M_f|| <= b; any failure carries a
     rigorous witness vector for ||M_f|| > b."""
-    return [psd_check(_s(b, P, V)) for _, P, V in _nested_levels(m, exhaustion)()]
+    return [psd_check(_s(b, P, V)) for _, P, V in _nested_levels(m, exhaustion)[0]()]
 
 
 def restricted_norm(m, F):
     """Norm of M* restricted to span{v_x : x in F}: the square root of the
     largest eigenvalue of the pencil (D_F V_F D_F*, V_F)."""
-    ((_, P, V),) = _nested_levels(m, [F])()
-    return _rho(P, V)
+    ((_, rho),) = _nested_levels(m, [F])[1]()
+    return rho
 
 
 def point_mass_norm(net, x):
@@ -290,7 +308,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     projects onto span{v_x : x in F_n}.  F_m must contain F_n and enclose
     the neighbors of supp(f) inside F_n."""
     net = m.net
-    (F_n, _, V), (F_m, _, _) = _nested_levels(m, [F_n, F_m])()
+    (F_n, _, V), (F_m, _, _) = _nested_levels(m, [F_n, F_m])[0]()
     outer = set(net.index(z) for z in F_m) | {net.origin_index}
     for z in F_n:
         zi = net.index(z)
@@ -326,7 +344,9 @@ def truncation_consistency(m, F_n, F_m, samples=None):
 
 @dataclass
 class MultiplierReport:
-    lower_bounds: list  # (F, rho_F) pairs
+    # (F, max of rho_F' over the levels F' up to F): the exact trace is
+    # nondecreasing, so the running max only absorbs rounding
+    lower_bounds: list
     best_lower: float
     upper_bound: float
     psd_certificates: list  # (b, PsdVerdict) pairs
@@ -361,15 +381,15 @@ def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
     (or at the best lower bound when estimating)."""
-    levels = _nested_levels(m, exhaustion)
-    lower = [(F, _rho(P, V)) for F, P, V in levels()]
-    best_lower = 0.0
-    for _, rho in lower:
+    levels, trace = _nested_levels(m, exhaustion)
+    lower, best_lower = [], 0.0
+    for F, rho in trace():
         if rho < best_lower - 1e-7 * max(1.0, best_lower):
             raise InvariantViolation(
                 f"restricted norm decreased along the exhaustion: {best_lower} -> {rho}"
             )
         best_lower = max(best_lower, rho)
+        lower.append((F, best_lower))
     upper = sufficiency_bound(m)
     if best_lower > upper + 1e-7 * max(1.0, upper):
         raise InvariantViolation(
@@ -388,7 +408,7 @@ def analyze(m, exhaustion=None, bound=None):
 def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
     """Smallest b (to absolute tolerance) at which certify_bound passes on
     the exhaustion.  Defaults bracket [0, sufficiency_bound]."""
-    levels = _nested_levels(m, exhaustion)
+    levels = _nested_levels(m, exhaustion)[0]
 
     def certified(b):
         return all(psd_check(_s(b, P, V)).is_psd for _, P, V in levels())
@@ -398,7 +418,7 @@ def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
     if certified(lo):
         return lo
     if not certified(hi):
-        raise ArithmeticError(f"upper bracket {hi} is not certified; widen it")
+        raise InvalidInput(f"upper bracket {hi} is not certified; widen it")
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if certified(mid):

@@ -107,18 +107,18 @@ class VertexFunction:
 
     @classmethod
     def from_dict(cls, net, mapping, default=0.0):
+        """Values from {vertex: value}, `default` elsewhere; read-only."""
         vals = np.full(net.n, default, dtype=complex)
         for x, v in mapping.items():
             vals[net.index(x)] = v
         if np.isrealobj(np.asarray(list(mapping.values()))) or not np.any(vals.imag):
             vals = vals.real
+        vals.setflags(write=False)
         return cls(net, vals)
 
     @classmethod
     def delta(cls, net, x):
-        vals = np.zeros(net.n)
-        vals[net.index(x)] = 1.0
-        return cls(net, vals)
+        return cls.from_dict(net, {x: 1.0})
 
     @classmethod
     def ones(cls, net):

@@ -1,6 +1,5 @@
 """Dense Hermitian numerics: SPD solves, eigendecompositions, psd
-certification, matrix square roots, generalized eigenproblems, and
-Gram-metric orthonormalization.
+certification, matrix square roots, and Gram-metric orthonormalization.
 
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.
@@ -132,24 +131,6 @@ def sqrtm_psd(A):
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return SymMatrix.from_array(root, tol=1e-10)
-
-
-def gen_eig_max(A, B):
-    """Largest eigenpair of the pencil A xi = lambda B xi (B positive definite)."""
-    a, b = _mat(A), _mat(B)
-    try:
-        scipy.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"B is not positive definite: {exc}") from None
-    w, q = scipy.linalg.eigh(a, b)
-    lam = float(w[-1])
-    xi = q[:, -1]
-    xi = _fix_sign(xi / np.linalg.norm(xi))
-    resid = np.linalg.norm(a @ xi - lam * (b @ xi))
-    scale = np.linalg.norm(a, 2) + abs(lam) * np.linalg.norm(b, 2)
-    if resid > 1e-8 * max(scale, 1e-300):
-        raise ConvergenceFailure(f"pencil residual {resid:.3e} exceeds tolerance")
-    return lam, xi
 
 
 def gram_schmidt_V(V):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
 from energynet import multop
-from energynet.errors import InsufficientEnclosure, InvalidInput, OriginInF, UnknownVertex
+from energynet.cli import main
+from energynet.errors import (
+    InsufficientEnclosure,
+    InvalidInput,
+    InvariantViolation,
+    OriginInF,
+    UnknownVertex,
+)
 from energynet.multop import (
     Multiplier,
     adjoint_on_kernel,
@@ -184,6 +192,101 @@ def test_restricted_norm_monotone(test_net):
         prev = max(prev, rho)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_restricted_norm_matches_random_rayleigh(seed):
+    """On random networks with complex f and levels that are not prefixes of
+    the outer set's order, every rho_F (from analyze's trace and from
+    restricted_norm) bounds 10^4 random Rayleigh quotients of the pencil
+    (P_F o V_F, V_F) and equals its top generalized eigenvalue."""
+    rng = np.random.default_rng(seed)
+    net = random_network(8, seed=seed % 50)
+    m = Multiplier(net, rng.normal(size=net.n) + 1j * rng.normal(size=net.n))
+    xs = x_vertices(net)
+    joined = [xs[i] for i in rng.permutation(len(xs))]
+    sizes = sorted(set(rng.integers(1, len(xs) + 1, size=3)) | {len(xs)})
+    exhaustion = [tuple(joined[i] for i in rng.permutation(s)) for s in sizes]
+    for (F, traced), F_again in zip(analyze(m, exhaustion).lower_bounds, exhaustion):
+        assert F == F_again
+        V = en.gram_matrix(net, F).V.a
+        fv = np.array([m[x] for x in F])
+        A = np.outer(fv, np.conj(fv)) * V
+        lam = scipy.linalg.eigh(A, V, eigvals_only=True)[-1]
+        xi = rng.standard_normal((10**4, len(F))) + 1j * rng.standard_normal((10**4, len(F)))
+        num = np.real(np.einsum("ki,ij,kj->k", xi.conj(), A, xi))
+        den = np.real(np.einsum("ki,ij,kj->k", xi.conj(), V, xi))
+        for rho in (traced, restricted_norm(m, F)):
+            assert (num / den).max() <= rho**2 * (1 + 1e-9) + 1e-12
+            assert rho**2 == pytest.approx(lam, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [2.5, -0.75, 1 + 2j])
+def test_const_trace_is_modulus(c):
+    # T = conj(c) I: a fully clustered spectrum at every level
+    net = en.generate("integer_segment", 40)
+    xs = x_vertices(net)
+    rep = analyze(Multiplier.constant(net, c), [tuple(xs[:k]) for k in range(1, len(xs) + 1)])
+    assert len(rep.lower_bounds) == len(xs)
+    for _, rho in rep.lower_bounds:
+        assert rho == pytest.approx(abs(c), rel=1e-12)
+
+
+def test_pencil_residual_check(monkeypatch, capsys):
+    eigh = scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        w, q = eigh(*args, **kwargs)
+        q[0, -1] += 1e-3
+        return w, q
+
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    net = en.generate("integer_segment", 12)
+    with pytest.raises(InvariantViolation, match="pencil residual"):
+        restricted_norm(Multiplier.from_kernel(net, 3), x_vertices(net))
+    argv = ["mult", "--gen", "integer_segment:12", "--f", "kernel:3", "--estimate"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: pencil residual")
+
+
+_TRACE_NETS = [
+    ("integer_segment", 8),
+    ("integer_segment", 40),
+    ("integer_segment", 200),
+    ("path", 30),
+    ("binary_tree", 5),
+    ("cycle", 20),
+]
+_TRACE_MULTIPLIERS = {
+    "kernel:5": lambda net: Multiplier.from_kernel(net, 5),
+    "delta:3": lambda net: Multiplier.delta(net, 3),
+    "const:2.5": lambda net: Multiplier.constant(net, 2.5),
+}
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 5, 7, "doubling"])
+@pytest.mark.parametrize("spec", sorted(_TRACE_MULTIPLIERS))
+@pytest.mark.parametrize("family,size", _TRACE_NETS)
+def test_reported_trace_nondecreasing(family, size, spec, step):
+    net = en.generate(family, size)
+    xs = x_vertices(net)
+    if step == "doubling":
+        exhaustion = default_exhaustion(net)
+    else:
+        exhaustion = [tuple(xs[:k]) for k in list(range(1, len(xs), step)) + [len(xs)]]
+    rhos = [rho for _, rho in analyze(_TRACE_MULTIPLIERS[spec](net), exhaustion).lower_bounds]
+    assert rhos == sorted(rhos)
+
+
+def test_multiplier_is_vertex_function(p3):
+    m = Multiplier.delta(p3, 1)
+    assert isinstance(m, en.VertexFunction) and m[1] == 1.0 and m.f is m.values
+    for made in (m, Multiplier.from_dict(p3, {2: 1j}), Multiplier.constant(p3, 2.0)):
+        assert not made.f.flags.writeable
+    fvals = np.array([0.0, 1.0, 2.0])
+    assert Multiplier(p3, fvals).f is fvals
+
+
 def t_matrix(m, F):
     """The literal V_F^{1/2} conj(D_F) V_F^{-1/2}, whose l2 operator norm
     equals restricted_norm; an independent cross-check."""
@@ -314,6 +417,12 @@ def test_bisect_bound(p3):
     m = Multiplier.delta(p3, 1)
     b = bisect_bound(m, tol=1e-8)
     assert b == pytest.approx(np.sqrt(2.0), abs=1e-7)
+
+
+def test_bisect_bound_uncertified_bracket(p3):
+    m = Multiplier.delta(p3, 1)
+    with pytest.raises(InvalidInput, match="not certified"):
+        bisect_bound(m, hi=0.5)
 
 
 def test_bisect_bound_matches_analyze(test_net):

@@ -108,33 +108,6 @@ def test_sqrtm_psd_roundtrip(seed, n):
     assert np.abs(b.a @ b.a - a).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
 
-def test_gen_eig_max_cases():
-    lam, _ = en.gen_eig_max(sym([[1, 1], [1, 2]]), sym([[1, 1], [1, 2]]))
-    assert lam == pytest.approx(1.0)
-    lam, _ = en.gen_eig_max(sym([[1, 0], [0, 0]]), sym([[1, 1], [1, 2]]))
-    assert lam == pytest.approx(2.0)
-    lam, _ = en.gen_eig_max(sym(np.zeros((3, 3))), sym(np.eye(3)))
-    assert lam == pytest.approx(0.0)
-    with pytest.raises(NotPositiveDefinite):
-        en.gen_eig_max(sym(np.eye(2)), sym([[1, 1], [1, 1]]))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 8))
-def test_gen_eig_max_matches_random_rayleigh(seed, n):
-    rng = np.random.default_rng(seed)
-    a = random_psd(rng, n)
-    b = random_psd(rng, n, allow_singular=False) + 0.1 * np.eye(n)
-    lam, vec = en.gen_eig_max(sym(a), sym(b))
-    xi = rng.standard_normal((10**4, n))
-    ratios = np.einsum("ki,ij,kj->k", xi, a, xi) / np.einsum("ki,ij,kj->k", xi, b, xi)
-    # no random Rayleigh quotient exceeds the reported maximum...
-    assert ratios.max() <= lam * (1 + 1e-9) + 1e-12
-    # ...and the reported eigenvector attains it
-    attained = float(np.real(vec.conj() @ a @ vec) / np.real(vec.conj() @ b @ vec))
-    assert attained == pytest.approx(lam, rel=1e-9, abs=1e-12)
-
-
 def test_gram_schmidt_hand_value():
     c = en.gram_schmidt_V(sym([[1, 1], [1, 2]]))
     assert np.allclose(c, [[1, -1], [0, 1]])
