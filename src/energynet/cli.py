@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -102,6 +103,7 @@ def _emit(doc, fmt, csv_rows=None):
             print(",".join(str(c) for c in row))
     else:
         _pretty(doc)
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
 
 
 def _fmt6(v):
@@ -260,8 +262,9 @@ def build_parser():
     p = sub.add_parser("mult", help="multiplication-operator norm analysis")
     _add_net_args(p)
     p.add_argument("--f", required=True, help="delta:<v> | kernel:<v> | const:<c> | file:<p>")
-    p.add_argument("--bound", type=float, help="certify at this bound")
-    p.add_argument("--estimate", action="store_true", help="estimate the norm")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--bound", type=float, help="certify at this bound")
+    mode.add_argument("--estimate", action="store_true", help="estimate the norm (the default)")
     p.add_argument("--trace", action="store_true", help="emit the full lower trace")
     p.add_argument("--exhaust", help="comma-separated prefix sizes, or 'all'")
     p.set_defaults(func=cmd_mult)
@@ -286,6 +289,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left early; devnull spares the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output stream closed early", file=sys.stderr)
+        return 2
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -177,6 +177,11 @@ def gram_matrix(net, F):
     """Gram matrix of the energy kernel over F: rows F of the kernel columns
     at F, cross-checked against the reproducing identity
     <v_x, v_y> = v_y(x) entrywise."""
+    return _gram_and_columns(net, F)[0]
+
+
+def _gram_and_columns(net, F):
+    """gram_matrix(net, F) and the n x |F| kernel columns it was read from."""
     F = tuple(F)
     if not F or len(set(F)) != len(F):
         raise InvalidInput("F must be a nonempty list of distinct vertices")
@@ -195,7 +200,7 @@ def gram_matrix(net, F):
         )
     gram = GramMatrix(F, SymMatrix.from_array((V + V.T) / 2, tol=1e-9))
     gram.cholesky()  # positive definiteness is an invariant of the type
-    return gram
+    return gram, K
 
 
 def delta_gram(net, F):

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .energy import (
+    _gram_and_columns,
     delta,
     delta_gram,
     effective_resistance,
@@ -81,6 +82,17 @@ def hermitian_defect(m, u, v):
     return energy_form(apply(m, u), v) - energy_form(u, apply(m, v))
 
 
+def _nested_order(net, exhaustion):
+    """Checked levels of a nested exhaustion (default_exhaustion if None), F_m in level order."""
+    exhaustion = [tuple(F) for F in (default_exhaustion(net) if exhaustion is None else exhaustion)]
+    if not exhaustion or not all(F and len(set(F)) == len(F) for F in exhaustion):
+        raise InvalidInput("each set F must be a nonempty list of distinct vertices")
+    for prev, cur in zip(exhaustion, exhaustion[1:]):
+        if not set(prev) <= set(cur):
+            raise ValueError("exhaustion sets must be nested")
+    return exhaustion, tuple(dict.fromkeys(x for F in exhaustion for x in F))
+
+
 def _nested_levels(m, exhaustion=None):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
@@ -90,15 +102,7 @@ def _nested_levels(m, exhaustion=None):
     is the Gram matrix's Cholesky factor and D = diag(f): T is upper
     triangular and the pencil (P_F o V_F, V_F) on a leading k x k block is
     T_k^H T_k.  It runs once and then releases U and T."""
-    if exhaustion is None:
-        exhaustion = default_exhaustion(m.net)
-    exhaustion = [tuple(F) for F in exhaustion]
-    if not exhaustion or not all(F and len(set(F)) == len(F) for F in exhaustion):
-        raise InvalidInput("each set F must be a nonempty list of distinct vertices")
-    for prev, cur in zip(exhaustion, exhaustion[1:]):
-        if not set(prev) <= set(cur):
-            raise ValueError("exhaustion sets must be nested")
-    order = tuple(dict.fromkeys(x for F in exhaustion for x in F))
+    exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
     V = gram.V.a
     fv = np.array([m[x] for x in order])
@@ -308,18 +312,19 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     projects onto span{v_x : x in F_n}.  F_m must contain F_n and enclose
     the neighbors of supp(f) inside F_n."""
     net = m.net
-    (F_n, _, V), (F_m, _, _) = _nested_levels(m, [F_n, F_m])[0]()
+    (F_n, F_m), order = _nested_order(net, [F_n, F_m])
+    gram, K = _gram_and_columns(net, order)  # one solve; F_n's columns lead
+    V, K = gram.V.a[: len(F_n), : len(F_n)], K[x_indices(net), : len(F_n)]
     outer = set(net.index(z) for z in F_m) | {net.origin_index}
     for z in F_n:
         zi = net.index(z)
-        if m.f[zi] != 0 and not set(net.neighbor_idx[zi]) <= outer:
+        if m.f[zi] != 0 and not set(net.indices[net.indptr[zi] : net.indptr[zi + 1]]) <= outer:
             raise InsufficientEnclosure(
                 f"neighbors of {z!r} are not contained in F_m; enlarge the outer set"
             )
 
     L = _dirac_gram(net)
     C = gram_schmidt_V(V)
-    K = kernel_columns(net, [net.index(z) for z in F_n])[x_indices(net)]
     B = K @ C  # orthonormal basis coefficients
     P = B @ (B.conj().T @ L)
 

@@ -30,6 +30,9 @@ class Network:
 
     Use :func:`build_network`, :func:`generate` or :func:`load_network` to
     construct one; the constructor itself assumes pre-validated input.
+    The adjacency is stored once, as CSR arrays: the neighbours of vertex i
+    are ``indices[indptr[i]:indptr[i + 1]]``, in edge order, with their
+    conductances at the same positions of ``weights``.
     """
 
     def __init__(self, vertices, origin, edges):
@@ -42,14 +45,13 @@ class Network:
         self.edge_i = np.array([self._index[x] for x, _, _ in edges], dtype=np.intp)
         self.edge_j = np.array([self._index[y] for _, y, _ in edges], dtype=np.intp)
         self.edge_w = np.array([w for _, _, w in edges], dtype=float)
-        # adjacency: per-vertex neighbor indices and weights
-        nbrs = [[] for _ in range(self.n)]
-        for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        self.neighbor_idx = [np.array([k for k, _ in a], dtype=np.intp) for a in nbrs]
-        self.neighbor_w = [np.array([w for _, w in a], dtype=float) for a in nbrs]
-        self.conductance = np.array([a.sum() for a in self.neighbor_w])
+        # CSR: both directions of each edge side by side, stably sorted by source
+        src = np.column_stack((self.edge_i, self.edge_j)).ravel()
+        rows = np.argsort(src, kind="stable")
+        self.indptr = np.searchsorted(src[rows], np.arange(self.n + 1))
+        self.indices = np.column_stack((self.edge_j, self.edge_i)).ravel()[rows]
+        self.weights = np.repeat(self.edge_w, 2)[rows]
+        self.conductance = np.bincount(src[rows], weights=self.weights, minlength=self.n)
         # built on first use and kept for the life of the network
         self._laplacian = None
         self._grounded_cho = None
@@ -67,12 +69,10 @@ class Network:
     def laplacian_matrix(self):
         """Dense Laplacian, physics sign convention (nonnegative spectrum)."""
         if self._laplacian is None:
+            # edges are unique after build_network's merge, so no entry repeats
             L = np.zeros((self.n, self.n))
-            for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
-                L[i, j] -= w
-                L[j, i] -= w
-                L[i, i] += w
-                L[j, j] += w
+            L[self.edge_i, self.edge_j] = L[self.edge_j, self.edge_i] = -self.edge_w
+            np.fill_diagonal(L, self.conductance)
             self._laplacian = L
         return self._laplacian
 
@@ -112,7 +112,7 @@ class VertexFunction:
         for x, v in mapping.items():
             vals[net.index(x)] = v
         if np.isrealobj(np.asarray(list(mapping.values()))) or not np.any(vals.imag):
-            vals = vals.real
+            vals = vals.real.copy()  # contiguous float64, not a view into vals
         vals.setflags(write=False)
         return cls(net, vals)
 
@@ -133,46 +133,33 @@ def build_network(edge_list, origin):
     """
     if not edge_list:
         raise InvalidSize("edge list is empty")
-    order = []
-    seen = {}
+    vertices = {}  # ordered by first appearance
     weights = {}
     for x, y, w in edge_list:
         if x == y:
             raise SelfLoop(f"self-loop at vertex {x!r}")
         if not (float(w) > 0):
             raise NonPositiveConductance(f"edge ({x!r},{y!r}) has weight {w!r}")
-        for v in (x, y):
-            if v not in seen:
-                seen[v] = len(order)
-                order.append(v)
-        key = frozenset((x, y))
-        if key in weights:
-            if float(w) != weights[key][2]:
-                raise AsymmetricInput(
-                    f"edge ({x!r},{y!r}) given weights {weights[key][2]} and {w}"
-                )
-        else:
-            weights[key] = (x, y, float(w))
-    if origin not in seen:
+        vertices[x] = vertices[y] = None  # a key keeps its first position
+        first = weights.setdefault(frozenset((x, y)), (x, y, float(w)))
+        if float(w) != first[2]:
+            raise AsymmetricInput(f"edge ({x!r},{y!r}) given weights {first[2]} and {w}")
+    if origin not in vertices:
         raise OriginMissing(f"origin {origin!r} does not appear in the edge list")
-    edges = list(weights.values())
+    net = Network(vertices, origin, list(weights.values()))
 
-    # connectivity by BFS over positive-conductance edges
-    adj = {v: [] for v in order}
-    for x, y, _ in edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    reached = {order[0]}
-    stack = [order[0]]
+    # connectivity by BFS over the CSR rows, read as lists (numpy scalar reads are slow)
+    indptr, indices = net.indptr.tolist(), net.indices.tolist()
+    reached, stack = {0}, [0]
     while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    if len(reached) != len(order):
-        missing = [v for v in order if v not in reached]
-        raise Disconnected(f"vertices {missing!r} unreachable from {order[0]!r}")
-    return Network(order, origin, edges)
+        i = stack.pop()
+        new = set(indices[indptr[i] : indptr[i + 1]]) - reached
+        reached |= new
+        stack.extend(new)
+    if len(reached) != net.n:
+        missing = [v for k, v in enumerate(net.vertices) if k not in reached]
+        raise Disconnected(f"vertices {missing!r} unreachable from {net.vertices[0]!r}")
+    return net
 
 
 def total_conductance(net, x):
@@ -209,12 +196,8 @@ def generate(family, size, conductance=1.0):
     elif family == "binary_tree":
         if size < 1:
             raise InvalidSize("binary_tree needs depth >= 1")
-        nverts = 2 ** (size + 1) - 1
-        edges = []
-        for k in range(nverts):
-            for child in (2 * k + 1, 2 * k + 2):
-                if child < nverts:
-                    edges.append((k, child, w(k, child)))
+        # vertex c > 0 hangs from (c - 1) // 2; edges in order of the child
+        edges = [((c - 1) // 2, c, w((c - 1) // 2, c)) for c in range(1, 2 ** (size + 1) - 1)]
     else:
         raise InvalidSize(f"unknown family {family!r}")
     return build_network(edges, origin=0)

@@ -40,9 +40,8 @@ class WalkEstimate:
 def transition_prob(net, x, y):
     """p(x, y) = c_xy / c(x); rows sum to one."""
     xi, yi = net.index(x), net.index(y)
-    hits = np.flatnonzero(net.neighbor_idx[xi] == yi)
-    w = net.neighbor_w[xi][hits[0]] if hits.size else 0.0
-    return float(w / net.conductance[xi])
+    row = slice(net.indptr[xi], net.indptr[xi + 1])
+    return float(net.weights[row][net.indices[row] == yi].sum() / net.conductance[xi])
 
 
 def escape_prob_exact(net, x):
@@ -63,20 +62,20 @@ def escape_prob_exact(net, x):
         sub = L[np.ix_(interior, interior)]
         rhs = -L[np.ix_(interior, [oi])].ravel()  # h(o) = 1 boundary term
         h[interior] = spd_solve(SymMatrix.from_array(sub), rhs)
-    p_row = net.neighbor_w[xi] / net.conductance[xi]
-    return float(np.dot(p_row, h[net.neighbor_idx[xi]]))
+    row = slice(net.indptr[xi], net.indptr[xi + 1])
+    return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))
 
 
 def _walk_step(net):
     """step(cur, u): the next vertices of walkers at rows cur for uniforms u in [0, 1).
 
-    One searchsorted in key = row + the row's normalized cumulative weight (last
+    One searchsorted in key = row + the CSR row's normalized cumulative weight (last
     entry exactly 1); the clip to the row's last entry covers cur + u -> cur + 1.
     """
-    cum = [np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for w in net.neighbor_w]
-    key = np.concatenate([i + c for i, c in enumerate(cum)])
-    nbr = np.concatenate(net.neighbor_idx)
-    last = np.cumsum([c.size for c in cum]) - 1
+    rows = np.split(net.weights, net.indptr[1:-1])
+    cum = [i + np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for i, w in enumerate(rows)]
+    key = np.concatenate(cum)
+    nbr, last = net.indices, net.indptr[1:] - 1
     return lambda cur, u: nbr[np.minimum(np.searchsorted(key, cur + u, side="right"), last[cur])]
 
 

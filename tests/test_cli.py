@@ -188,6 +188,28 @@ def test_invalid_input_exits_2(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_estimate_and_bound_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mult", "--gen", "path:3", "--f", "delta:1", "--estimate", "--bound", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_2():
+    env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "energynet.cli", "kernel", "--gen", "path:3", "--vertex", "1"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: output stream closed early"]
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     solve = scipy.linalg.cho_solve
 

@@ -371,6 +371,23 @@ def test_truncation_consistency(p3):
     assert truncation_consistency(m, [1, 2], [1, 2]) <= 1e-10
 
 
+def test_truncation_consistency_solves_once(monkeypatch):
+    seg = en.generate("integer_segment", 8)
+    m = Multiplier.from_kernel(seg, 3)
+    samples = [random_energy_vector(seg, np.random.default_rng(k)) for k in range(3)]
+    calls = []
+    kernel_columns = en.energy.kernel_columns
+
+    def counted(net, idx):
+        calls.append(list(idx))
+        return kernel_columns(net, idx)
+
+    monkeypatch.setattr(multop, "kernel_columns", counted)
+    monkeypatch.setattr(en.energy, "kernel_columns", counted)
+    assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4], samples) <= 1e-9
+    assert calls == [[1, 2, 3, 4]]
+
+
 def test_truncation_insufficient_enclosure():
     seg = en.generate("integer_segment", 6)
     m = Multiplier.delta(seg, 2)

@@ -14,7 +14,10 @@ from energynet.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from energynet.multop import Multiplier
 from energynet.network import VertexFunction
+
+from test_randwalk import _skewed_network
 
 
 def test_build_p3():
@@ -49,6 +52,52 @@ def test_duplicate_edge_merged_and_conflicting_rejected():
 def test_build_errors(edges, origin, err):
     with pytest.raises(err):
         en.build_network(edges, origin=origin)
+
+
+def test_disconnected_names_unreachable_vertices():
+    edges = [(0, 1, 1), (2, 3, 1), (1, 4, 1), (5, 3, 1)]
+    with pytest.raises(Disconnected, match=r"^vertices \[2, 3, 5\] unreachable from 0$"):
+        en.build_network(edges, origin=0)
+
+
+def _check_csr(net):
+    rows = [slice(a, b) for a, b in zip(net.indptr[:-1], net.indptr[1:])]
+    entries = {
+        (i, j): w for i, r in enumerate(rows) for j, w in zip(net.indices[r], net.weights[r])
+    }
+    assert len(entries) == net.indptr[-1] == 2 * len(net.edges)
+    assert all(entries[j, i] == w for (i, j), w in entries.items())
+    # reference: the per-edge loops the CSR arrays replaced; each row lists its
+    # neighbours in edge order, and the Laplacian is filled one edge at a time
+    expected = [[] for _ in range(net.n)]
+    L = np.zeros((net.n, net.n))
+    for i, j, w in zip(net.edge_i, net.edge_j, net.edge_w):
+        expected[i].append((j, w))
+        expected[j].append((i, w))
+        L[i, j] -= w
+        L[j, i] -= w
+        L[i, i] += w
+        L[j, j] += w
+    assert [list(zip(net.indices[r], net.weights[r])) for r in rows] == expected
+    np.testing.assert_array_equal(net.laplacian_matrix(), L)
+    np.testing.assert_array_equal(net.conductance, np.diag(L))
+
+
+def test_csr_adjacency(test_net):
+    _check_csr(test_net)
+
+
+def test_csr_adjacency_skewed_weights():
+    _check_csr(_skewed_network())
+
+
+def test_real_values_are_contiguous_float64(p3):
+    for vf in (Multiplier.constant(p3, 2.5), VertexFunction.from_dict(p3, {1: 2 + 0j})):
+        vals = vf.values
+        assert vals.dtype == np.float64 and vals.flags.c_contiguous
+        assert not vals.flags.writeable
+        assert vals.base is None or vals.base.dtype == np.float64
+    assert Multiplier.from_dict(p3, {2: 1j}).f.dtype == np.complex128
 
 
 def test_total_conductance_unknown_vertex(p3):

@@ -12,7 +12,8 @@ def _reference_walk(net, x, samples, seed, max_steps):
     """The per-state stepping loop that the flat table replaced, on the same
     Philox stream: (escapes, returns, capped)."""
     xi, oi = net.index(x), net.origin_index
-    cum = [np.cumsum(w) / w.sum() for w in net.neighbor_w]
+    rows = [slice(a, b) for a, b in zip(net.indptr[:-1], net.indptr[1:])]
+    cum = [np.cumsum(net.weights[r]) / net.weights[r].sum() for r in rows]
     rng = np.random.Generator(np.random.Philox(key=seed))
     cur = np.full(samples, xi, dtype=np.intp)
     escapes = returns = 0
@@ -24,7 +25,7 @@ def _reference_walk(net, x, samples, seed, max_steps):
         for s in np.unique(cur):
             mask = cur == s
             pos = np.searchsorted(cum[s], u[mask], side="right")
-            nxt[mask] = net.neighbor_idx[s][np.minimum(pos, len(cum[s]) - 1)]
+            nxt[mask] = net.indices[rows[s]][np.minimum(pos, len(cum[s]) - 1)]
         escapes += int(np.sum(nxt == oi))
         returns += int(np.sum(nxt == xi))
         cur = nxt[(nxt != oi) & (nxt != xi)]
@@ -34,7 +35,7 @@ def _reference_walk(net, x, samples, seed, max_steps):
 def _skewed_network():
     # weights spread over three decades; degree-1 leaves and a degree-10 hub
     net = random_network(30, seed=4, extra_edges=20, wlo=0.01, whi=10.0)
-    degrees = [a.size for a in net.neighbor_idx]
+    degrees = np.diff(net.indptr)
     assert min(degrees) == 1 and max(degrees) >= 10
     return net
 
@@ -105,8 +106,8 @@ def test_walk_step_endpoints():
     net = _skewed_network()
     step = _walk_step(net)
     rows = np.arange(net.n)
-    first = [a[0] for a in net.neighbor_idx]
-    last = [a[-1] for a in net.neighbor_idx]
+    first = net.indices[net.indptr[:-1]]
+    last = net.indices[net.indptr[1:] - 1]
     np.testing.assert_array_equal(step(rows, np.zeros(net.n)), first)
     np.testing.assert_array_equal(step(rows, np.full(net.n, np.nextafter(1.0, 0.0))), last)
 
