@@ -37,7 +37,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, gram_schmidt_V, psd_check
+from .numkernel import SymMatrix, gram_schmidt_V, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -96,12 +96,13 @@ def _nested_order(net, exhaustion):
 def _nested_levels(m, exhaustion=None):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
-    a leading block.  Returns (levels, trace).  levels() yields (F, P_F, V_F)
-    one level at a time in F's own order, with P_F = f(x) conj(f(y)).
-    trace() returns (F, rho_F) per level from T = U D* U^{-1}, where V = U^T U
-    is the Gram matrix's Cholesky factor and D = diag(f): T is upper
-    triangular and the pencil (P_F o V_F, V_F) on a leading k x k block is
-    T_k^H T_k.  It runs once and then releases U and T."""
+    a leading block.  Returns (levels, trace, sufficiency).  levels() yields
+    (F, P_F, V_F) one level at a time in F's own order, with
+    P_F = f(x) conj(f(y)).  trace() returns (F, rho_F) per level from
+    T = U D* U^{-1}, where V = U^T U is the Gram matrix's Cholesky factor and
+    D = diag(f): T is upper triangular and the pencil (P_F o V_F, V_F) on a
+    leading k x k block is T_k^H T_k.  It runs once and then releases U and
+    T.  sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
     V = gram.V.a
@@ -114,6 +115,11 @@ def _nested_levels(m, exhaustion=None):
             # the outermost level reads V itself: a copy would raise peak memory
             yield F, np.outer(fv[p], np.conj(fv[p])), V if F == order else V[np.ix_(p, p)]
 
+    def sufficiency():
+        R = np.full(m.net.n, np.nan)
+        R[[m.net.index(x) for x in order]] = np.diagonal(V)
+        return _sufficiency_bound(m, R)
+
     def trace():
         nonlocal gram
         (U, _), gram = gram.cholesky(), None
@@ -125,13 +131,10 @@ def _nested_levels(m, exhaustion=None):
         for F in exhaustion:
             k = len(F)
             Wk = W[:k, :k]
-            # T_k^H T_k, Fortran-ordered so that eigh works in place; the full
-            # "evd" solve, because subset drivers fail on clustered spectra
-            w, q = scipy.linalg.eigh(
-                (Wk @ Wk.conj().T).T, overwrite_a=True, check_finite=False, driver="evd"
-            )
-            lam = float(w[-1])
-            xi = scipy.linalg.solve_triangular(U[:k, :k], q[:, -1], check_finite=False)
+            # the top eigenpair of T_k^H T_k = conj(W_k) W_k^T, from products
+            # with the view W_k alone
+            lam, q = top_eigpair(lambda x: np.conj(Wk @ np.conj(Wk.T @ x)), k, seed=k)
+            xi = scipy.linalg.solve_triangular(U[:k, :k], q, check_finite=False)
             xi /= np.linalg.norm(xi)
             fk, Vk, d = fv[:k], V[:k, :k], np.diagonal(V)[:k]
             resid = np.linalg.norm(fk * (Vk @ (np.conj(fk) * xi)) - lam * (Vk @ xi))
@@ -144,7 +147,7 @@ def _nested_levels(m, exhaustion=None):
             out.append((F, float(np.sqrt(max(lam, 0.0)))))
         return out
 
-    return levels, trace
+    return levels, trace, sufficiency
 
 
 def _s(b, P, V):
@@ -183,9 +186,18 @@ def point_mass_norm(net, x):
 
 def sufficiency_bound(m):
     """sum_x |f(x)| sqrt(c(x) R(x)): an upper bound for ||M_f||."""
+    return _sufficiency_bound(m, np.full(m.net.n, np.nan))
+
+
+def _sufficiency_bound(m, R):
+    """sufficiency_bound(m), with R(x) read from R (by dense index) where it
+    is not NaN and solved for the rest of supp f in one kernel solve."""
     net = m.net
-    supp = [i for i in x_indices(net) if m.f[i]]
-    R = np.diagonal(kernel_columns(net, supp)[supp])
+    supp = np.array([i for i in x_indices(net) if m.f[i]], dtype=np.intp)
+    R = R[supp]
+    rest = supp[np.isnan(R)]
+    if rest.size:
+        R[np.isnan(R)] = np.diagonal(kernel_columns(net, rest)[rest])
     return float(np.sum(np.abs(m.f[supp]) * np.sqrt(net.conductance[supp] * R)))
 
 
@@ -222,7 +234,9 @@ def _energy_norm(net, coeff, L):
 
 
 def _default_samples(net):
-    return [energy_kernel(net, net.vertices[i]) for i in x_indices(net)]
+    """The kernel basis v_x, x in X (in vertex order), from one solve."""
+    K = kernel_columns(net, x_indices(net))
+    return [ground(net, K[:, j]) for j in range(K.shape[1])]
 
 
 def rank_one_identities(net, x, y, sample_u=None):
@@ -232,8 +246,10 @@ def rank_one_identities(net, x, y, sample_u=None):
     kernel basis.  Returns the maximum relative energy-norm discrepancy."""
     _require_in_X(net, x, y)
     L = _dirac_gram(net)
-    samples = _default_samples(net) + list(sample_u or [])
-    vx, vy = energy_kernel(net, x), energy_kernel(net, y)
+    kernels = _default_samples(net)
+    samples = kernels + list(sample_u or [])
+    # v_x sits at x's position in X: its dense index, less one past the origin
+    vx, vy = (kernels[i - (i > net.origin_index)] for i in (net.index(x), net.index(y)))
     deltax, deltay = delta(net, x), delta(net, y)
 
     Mx = np.diag(_coeff(deltax))
@@ -386,7 +402,7 @@ def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
     (or at the best lower bound when estimating)."""
-    levels, trace = _nested_levels(m, exhaustion)
+    levels, trace, sufficiency = _nested_levels(m, exhaustion)
     lower, best_lower = [], 0.0
     for F, rho in trace():
         if rho < best_lower - 1e-7 * max(1.0, best_lower):
@@ -395,7 +411,7 @@ def analyze(m, exhaustion=None, bound=None):
             )
         best_lower = max(best_lower, rho)
         lower.append((F, best_lower))
-    upper = sufficiency_bound(m)
+    upper = sufficiency()
     if best_lower > upper + 1e-7 * max(1.0, upper):
         raise InvariantViolation(
             f"lower bound {best_lower} exceeds sufficiency bound {upper}"
@@ -413,13 +429,13 @@ def analyze(m, exhaustion=None, bound=None):
 def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
     """Smallest b (to absolute tolerance) at which certify_bound passes on
     the exhaustion.  Defaults bracket [0, sufficiency_bound]."""
-    levels = _nested_levels(m, exhaustion)[0]
+    levels, _, sufficiency = _nested_levels(m, exhaustion)
 
     def certified(b):
         return all(psd_check(_s(b, P, V)).is_psd for _, P, V in levels())
 
     if hi is None:
-        hi = sufficiency_bound(m)
+        hi = sufficiency()
     if certified(lo):
         return lo
     if not certified(hi):

@@ -36,15 +36,18 @@ class Network:
     """
 
     def __init__(self, vertices, origin, edges):
-        # edges: list of (x, y, w) with vertex ids, one entry per edge
+        # edges: (x, y, w) triples with vertex ids and float w, one per edge
         self.vertices = tuple(vertices)
         self.origin = origin
-        self._index = {v: k for k, v in enumerate(self.vertices)}
+        self._index = index = {v: k for k, v in enumerate(self.vertices)}
         self.n = len(self.vertices)
-        self.edges = tuple((x, y, float(w)) for x, y, w in edges)
-        self.edge_i = np.array([self._index[x] for x, _, _ in edges], dtype=np.intp)
-        self.edge_j = np.array([self._index[y] for _, y, _ in edges], dtype=np.intp)
-        self.edge_w = np.array([w for _, _, w in edges], dtype=float)
+        self.edges = tuple(edges)
+        rec = np.fromiter(
+            ((index[x], index[y], w) for x, y, w in self.edges),
+            dtype=[("i", np.intp), ("j", np.intp), ("w", float)],
+            count=len(self.edges),
+        )
+        self.edge_i, self.edge_j, self.edge_w = (np.ascontiguousarray(rec[c]) for c in "ijw")
         # CSR: both directions of each edge side by side, stably sorted by source
         src = np.column_stack((self.edge_i, self.edge_j)).ravel()
         rows = np.argsort(src, kind="stable")
@@ -138,11 +141,13 @@ def build_network(edge_list, origin):
     for x, y, w in edge_list:
         if x == y:
             raise SelfLoop(f"self-loop at vertex {x!r}")
-        if not (float(w) > 0):
+        fw = float(w)
+        if not (fw > 0):
             raise NonPositiveConductance(f"edge ({x!r},{y!r}) has weight {w!r}")
         vertices[x] = vertices[y] = None  # a key keeps its first position
-        first = weights.setdefault(frozenset((x, y)), (x, y, float(w)))
-        if float(w) != first[2]:
+        # keyed by the first orientation seen; a reversed repeat finds it too
+        first = weights.get((y, x)) or weights.setdefault((x, y), (x, y, fw))
+        if fw != first[2]:
             raise AsymmetricInput(f"edge ({x!r},{y!r}) given weights {first[2]} and {w}")
     if origin not in vertices:
         raise OriginMissing(f"origin {origin!r} does not appear in the edge list")

@@ -1,13 +1,18 @@
-"""Dense Hermitian numerics: SPD solves, eigendecompositions, psd
-certification, matrix square roots, and Gram-metric orthonormalization.
+"""Dense Hermitian numerics: SPD solves, eigendecompositions, the top
+eigenpair of a psd operator, psd certification, matrix square roots, and
+Gram-metric orthonormalization.
 
 Everything here is a pure function on small dense matrices (target scale
-n <= ~2000); real inputs stay on the real code path.
+n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
+computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
+matrix-vector product, and `psd_check` solves for eigenvalues only, leaving
+its witness vector to first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -48,8 +53,14 @@ class SymMatrix:
 class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
-    witness: np.ndarray
     tol: float
+    matrix: SymMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self):
+        """Unit eigenvector of the smallest eigenvalue, sign fixed by its
+        first nonzero component: one full eigendecomposition, on first access."""
+        return _fix_sign(sym_eig(self.matrix)[1][:, 0])
 
 
 def _mat(A):
@@ -110,14 +121,59 @@ def default_psd_tol(A):
 def psd_check(A, tol=None):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol.
 
-    The witness is the eigenvector of the smallest eigenvalue, unit length,
-    sign fixed by its first nonzero component.
+    lambda_min comes from an eigenvalues-only solve.  The verdict keeps the
+    matrix, and its witness (the eigenvector of the smallest eigenvalue, unit
+    length, sign fixed by its first nonzero component) is computed from a
+    full eigendecomposition the first time it is read.
     """
+    A = A if isinstance(A, SymMatrix) else SymMatrix.from_array(A)
     if tol is None:
         tol = default_psd_tol(A)
-    w, q = sym_eig(A)
-    witness = _fix_sign(q[:, 0])
-    return PsdVerdict(bool(w[0] >= -tol), float(w[0]), witness, float(tol))
+    try:
+        lam = float(np.linalg.eigvalsh(A.a)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+    return PsdVerdict(bool(lam >= -tol), lam, float(tol), A)
+
+
+def top_eigpair(matvec, n, seed=0):
+    """Largest eigenvalue and a unit eigenvector of the Hermitian psd
+    operator x -> matvec(x) on n-vectors.
+
+    Lanczos with full reorthogonalization (each new vector is projected off
+    the basis twice) and Rayleigh-Ritz on the tridiagonal projection.  It
+    stops when the top Ritz pair's residual |beta_j y_j| is at most
+    1e-14 * theta, or when the basis spans all n dimensions.  An invariant
+    subspace (beta_j = 0) makes that residual zero, so the iteration stops
+    there too.  The start vector is pseudorandom, drawn from Philox keyed by
+    `seed`, so that it is orthogonal to the top eigenvector with probability
+    zero and the same call always returns the same bits; a coordinate or a
+    caller-supplied start can be exactly orthogonal to it, and then the
+    iteration converges to a lower eigenvalue.
+    """
+    q = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
+    q /= np.linalg.norm(q)
+    w = matvec(q)
+    basis = np.empty((min(n, 32), n), dtype=w.dtype)
+    alpha, beta = [], []
+    for j in range(n):
+        if j == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty_like(basis[: n - j])))
+        basis[j] = q
+        alpha.append(float(np.real(np.vdot(q, w))))
+        Q = basis[: j + 1]
+        for _ in range(2):
+            w = w - np.conj(Q @ np.conj(w)) @ Q
+        b = float(np.linalg.norm(w))
+        theta, y = scipy.linalg.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(j, j), check_finite=False
+        )
+        theta, y = float(theta[0]), y[:, 0]
+        if abs(b * y[-1]) <= 1e-14 * abs(theta) or j + 1 == n:
+            return theta, y @ Q
+        beta.append(b)
+        q = w / b
+        w = matvec(q)
 
 
 def sqrtm_psd(A):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import energynet as en
 from energynet import numkernel
 from energynet.errors import NotPositiveDefinite, NotPsd
-from energynet.numkernel import SymMatrix, default_psd_tol
+from energynet.numkernel import SymMatrix, _fix_sign, default_psd_tol, top_eigpair
 
 
 def sym(arr):
@@ -77,6 +77,58 @@ def test_psd_check_matches_brute_force(seed, n):
     if verdict.is_psd:
         # necessary direction of the quadratic-form definition
         assert quads.min() >= -tol * (np.linalg.norm(xi, axis=1).max() ** 2)
+
+
+def test_psd_check_witness_on_demand(monkeypatch):
+    calls = []
+    sym_eig = numkernel.sym_eig
+    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
+    a = np.array([[0.96, 1.96], [1.96, 3.92]])
+    v = en.psd_check(sym(a))
+    assert calls == [] and not v.is_psd
+    # the same witness as from a full eigendecomposition, computed once
+    assert np.array_equal(v.witness, _fix_sign(np.linalg.eigh(a)[1][:, 0]))
+    assert v.witness is v.witness and calls == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.booleans())
+def test_top_eigpair_matches_eigh(seed, n, complex_):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+    a = g @ g.conj().T
+    lam, x = top_eigpair(lambda v: a @ v, n, seed=n)
+    w = np.linalg.eigvalsh(a)
+    assert lam == pytest.approx(w[-1], rel=1e-12)
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(a @ x - lam * x) <= 1e-10 * w[-1]
+
+
+@pytest.mark.parametrize("c2", [6.25, 0.5625, 5.0])
+def test_top_eigpair_identity_stops_at_once(c2):
+    # |c|^2 I (const:c for c = 2.5, -0.75, 1+2j): every vector is an
+    # eigenvector, so one product suffices
+    calls = []
+    lam, x = top_eigpair(lambda v: calls.append(1) or c2 * v, 50, seed=3)
+    assert lam == pytest.approx(c2, rel=1e-15) and calls == [1]
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_top_eigpair_degenerate_operators():
+    u = np.arange(1.0, 9.0)
+    lam, x = top_eigpair(lambda v: u * (u @ v), 8)  # rank one
+    assert lam == pytest.approx(u @ u, rel=1e-14)
+    assert abs(x @ u) == pytest.approx(np.linalg.norm(u), rel=1e-14)
+    assert top_eigpair(lambda v: 0.0 * v, 8)[0] == 0.0
+    lam, x = top_eigpair(lambda v: 3.0 * v, 1)  # k = 1
+    assert lam == pytest.approx(3.0) and abs(x[0]) == pytest.approx(1.0)
+
+
+def test_top_eigpair_reproducible():
+    a = random_psd(np.random.default_rng(1), 30)
+    first = top_eigpair(lambda v: a @ v, 30, seed=30)
+    again = top_eigpair(lambda v: a @ v, 30, seed=30)
+    assert first[0] == again[0] and np.array_equal(first[1], again[1])
 
 
 def test_sqrtm_psd_diagonal():
