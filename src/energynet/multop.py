@@ -133,7 +133,7 @@ def _nested_levels(m, exhaustion=None):
             Wk = W[:k, :k]
             # the top eigenpair of T_k^H T_k = conj(W_k) W_k^T, from products
             # with the view W_k alone
-            lam, q = top_eigpair(lambda x: np.conj(Wk @ np.conj(Wk.T @ x)), k, seed=k)
+            lam, q = top_eigpair(lambda x: np.conj(Wk @ np.conj(Wk.T @ x)), k)
             xi = scipy.linalg.solve_triangular(U[:k, :k], q, check_finite=False)
             xi /= np.linalg.norm(xi)
             fk, Vk, d = fv[:k], V[:k, :k], np.diagonal(V)[:k]

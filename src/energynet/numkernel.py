@@ -5,14 +5,13 @@ Gram-metric orthonormalization.
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
 computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
-matrix-vector product, and `psd_check` solves for eigenvalues only, leaving
-its witness vector to first access.
+matrix-vector product, and `psd_check` solves for eigenvalues only, adding
+the eigenvector solve for a witness only when the check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -54,13 +53,7 @@ class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
     tol: float
-    matrix: SymMatrix = field(repr=False, compare=False)
-
-    @cached_property
-    def witness(self):
-        """Unit eigenvector of the smallest eigenvalue, sign fixed by its
-        first nonzero component: one full eigendecomposition, on first access."""
-        return _fix_sign(sym_eig(self.matrix)[1][:, 0])
+    witness: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _mat(A):
@@ -121,10 +114,10 @@ def default_psd_tol(A):
 def psd_check(A, tol=None):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol.
 
-    lambda_min comes from an eigenvalues-only solve.  The verdict keeps the
-    matrix, and its witness (the eigenvector of the smallest eigenvalue, unit
-    length, sign fixed by its first nonzero component) is computed from a
-    full eigendecomposition the first time it is read.
+    lambda_min comes from an eigenvalues-only solve.  Only a failing verdict
+    carries a witness: the eigenvector of the smallest eigenvalue, unit
+    length, sign fixed by its first nonzero component, from one full
+    eigendecomposition.  A passing verdict keeps no vector or matrix.
     """
     A = A if isinstance(A, SymMatrix) else SymMatrix.from_array(A)
     if tol is None:
@@ -133,10 +126,12 @@ def psd_check(A, tol=None):
         lam = float(np.linalg.eigvalsh(A.a)[0])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
-    return PsdVerdict(bool(lam >= -tol), lam, float(tol), A)
+    if lam >= -tol:
+        return PsdVerdict(True, lam, float(tol))
+    return PsdVerdict(False, lam, float(tol), _fix_sign(sym_eig(A)[1][:, 0]))
 
 
-def top_eigpair(matvec, n, seed=0):
+def top_eigpair(matvec, n):
     """Largest eigenvalue and a unit eigenvector of the Hermitian psd
     operator x -> matvec(x) on n-vectors.
 
@@ -145,13 +140,14 @@ def top_eigpair(matvec, n, seed=0):
     stops when the top Ritz pair's residual |beta_j y_j| is at most
     1e-14 * theta, or when the basis spans all n dimensions.  An invariant
     subspace (beta_j = 0) makes that residual zero, so the iteration stops
-    there too.  The start vector is pseudorandom, drawn from Philox keyed by
-    `seed`, so that it is orthogonal to the top eigenvector with probability
-    zero and the same call always returns the same bits; a coordinate or a
-    caller-supplied start can be exactly orthogonal to it, and then the
-    iteration converges to a lower eigenvalue.
+    there too.  The start vector is the first n normals of one fixed Philox
+    stream: orthogonal to the top eigenvector with probability zero, and the
+    same for every call, so results are reproducible in any call order.  A
+    coordinate or a caller-supplied (say, the previous level's) start can be
+    exactly orthogonal to it, and then the iteration converges to a lower
+    eigenvalue.
     """
-    q = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
+    q = np.random.Generator(np.random.Philox(key=0)).standard_normal(n)
     q /= np.linalg.norm(q)
     w = matvec(q)
     basis = np.empty((min(n, 32), n), dtype=w.dtype)
