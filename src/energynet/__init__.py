@@ -50,7 +50,6 @@ from .network import (
 from .numkernel import (
     PsdVerdict,
     SymMatrix,
-    gram_schmidt_V,
     psd_check,
     spd_solve,
     sqrtm_psd,

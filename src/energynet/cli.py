@@ -140,14 +140,15 @@ def cmd_kernel(args):
         doc.update({"note": "v_o is the zero class", "values": {str(v): 0.0 for v in net.vertices}})
         _emit(doc, args.format)
         return 0
-    r = energy.effective_resistance(net, x)
+    r = float(vx[x])  # R(x) = v_x(x)
     s = energy.sup_norm(vx)
     doc.update(
         {
             "values": {str(v): _num(vx[v]) for v in net.vertices},
             "R": r,
             "sup_norm": s,
-            "bound_ok": bool(s <= r + 1e-12),
+            # sup|v_x| <= R(x) holds exactly; allow rounding relative to R
+            "bound_ok": bool(s <= r * (1 + 1e-9)),
         }
     )
     rows = [("vertex", "value")] + [(v, vx[v]) for v in net.vertices]

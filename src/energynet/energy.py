@@ -4,11 +4,14 @@ the bounded-function algebra.
 
 Every finite-energy class is stored by its grounded representative (value 0
 at the origin); equality of classes is equality of grounded representatives.
+That representative is an EnergyVector: the network's one function type,
+VertexFunction, plus the cached energy.
 
 Cost model: each network factors its grounded Laplacian L_X once (a dense
 Cholesky, built on first use), and every kernel query is a solve against
 that factor.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram matrix
-over F costs |F| solves plus a vectorized reproducing check over the edges;
+over F costs |F| solves plus a vectorized reproducing check over the edges,
+and one Cholesky factor of V_F, which its users read rather than refactor;
 nothing else is cached, in particular no kernel vector per vertex.
 """
 
@@ -27,23 +30,15 @@ from .errors import (
     OriginInF,
     UnknownVertex,
 )
-from .network import Network, VertexFunction, laplacian_apply
+from .network import VertexFunction, laplacian_apply
 from .numkernel import SymMatrix, spd_solve, sqrtm_psd
 
 
 @dataclass(frozen=True)
-class EnergyVector:
+class EnergyVector(VertexFunction):
     """Grounded representative of a finite-energy class, with cached energy."""
 
-    net: Network
-    values: np.ndarray
     energy: float
-
-    def __getitem__(self, x):
-        return self.values[self.net.index(x)]
-
-    def as_function(self):
-        return VertexFunction(self.net, self.values)
 
     def __add__(self, other):
         _same_net(self, other)
@@ -156,13 +151,10 @@ class GramMatrix:
 
     F: tuple
     V: SymMatrix
-    _sqrt: SymMatrix = field(default=None, repr=False)
     _cho: tuple = field(default=None, repr=False)
 
     def sqrt(self):
-        if self._sqrt is None:
-            self._sqrt = sqrtm_psd(self.V)
-        return self._sqrt
+        return sqrtm_psd(self.V)
 
     def cholesky(self):
         if self._cho is None:
@@ -219,7 +211,7 @@ def reproducing_check(net, x, u):
 def lap_pairing_check(net, x, u):
     """|<delta_x, u> - (laplacian u)(x)|."""
     dx = delta(net, x)
-    lap = laplacian_apply(net, u.as_function())
+    lap = laplacian_apply(net, u)
     return float(abs(energy_form(dx, u) - lap.values[net.index(x)]))
 
 
@@ -235,7 +227,7 @@ def fin_projection(net, u, F):
         F = [x for x in F if net.index(x) != net.origin_index]
         idx = [net.index(x) for x in F]
     G = delta_gram(net, F)
-    lap = laplacian_apply(net, u.as_function()).values
+    lap = laplacian_apply(net, u).values
     rhs = lap[idx]
     coeffs = spd_solve(G, rhs)
     vals = np.zeros(net.n, dtype=coeffs.dtype)

@@ -37,7 +37,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, gram_schmidt_V, psd_check, top_eigpair
+from .numkernel import SymMatrix, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -55,7 +55,7 @@ class Multiplier(VertexFunction):
     @classmethod
     def from_kernel(cls, net, x):
         """f = v_x as a function (the unbounded-growth example)."""
-        return cls.from_dict(net, dict(zip(net.vertices, energy_kernel(net, x).values)))
+        return cls(net, energy_kernel(net, x).values)
 
 
 def _require_in_X(net, *xs):
@@ -239,15 +239,14 @@ def _default_samples(net):
     return [ground(net, K[:, j]) for j in range(K.shape[1])]
 
 
-def rank_one_identities(net, x, y, sample_u=None):
+def rank_one_identities(net, x, y):
     """Check M_x = |delta_x><v_x| and the product relations
     M_x* M_y = <d_x, d_y> |v_x><v_y| and M_x M_y* = <v_x, v_y> |d_x><d_y|
-    against a numerically computed adjoint, on sampled vectors and the
-    kernel basis.  Returns the maximum relative energy-norm discrepancy."""
+    against a numerically computed adjoint, on the kernel basis.  Returns
+    the maximum relative energy-norm discrepancy."""
     _require_in_X(net, x, y)
     L = _dirac_gram(net)
     kernels = _default_samples(net)
-    samples = kernels + list(sample_u or [])
     # v_x sits at x's position in X: its dense index, less one past the origin
     vx, vy = (kernels[i - (i > net.origin_index)] for i in (net.index(x), net.index(y)))
     deltax, deltay = delta(net, x), delta(net, y)
@@ -268,7 +267,7 @@ def rank_one_identities(net, x, y, sample_u=None):
     worst = 0.0
     for lhs, rhs in pairs:
         diff = lhs - rhs
-        for u in samples:
+        for u in kernels:
             c = _coeff(u)
             r = _energy_norm(net, diff @ c, L) / (1.0 + _energy_norm(net, c, L))
             worst = max(worst, r)
@@ -330,7 +329,8 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     net = m.net
     (F_n, F_m), order = _nested_order(net, [F_n, F_m])
     gram, K = _gram_and_columns(net, order)  # one solve; F_n's columns lead
-    V, K = gram.V.a[: len(F_n), : len(F_n)], K[x_indices(net), : len(F_n)]
+    k = len(F_n)
+    K = K[x_indices(net), :k]
     outer = set(net.index(z) for z in F_m) | {net.origin_index}
     for z in F_n:
         zi = net.index(z)
@@ -340,7 +340,10 @@ def truncation_consistency(m, F_n, F_m, samples=None):
             )
 
     L = _dirac_gram(net)
-    C = gram_schmidt_V(V)
+    # V_{F_n} = U_k^T U_k on the leading block of the Gram factor, so
+    # C = U_k^{-1} satisfies C^T V_{F_n} C = I: Gram-Schmidt in the V metric
+    U, _ = gram.cholesky()
+    C = scipy.linalg.solve_triangular(U[:k, :k], np.eye(k), check_finite=False)
     B = K @ C  # orthonormal basis coefficients
     P = B @ (B.conj().T @ L)
 
@@ -426,9 +429,9 @@ def analyze(m, exhaustion=None, bound=None):
     return MultiplierReport(lower, best_lower, upper, certs, verdict)
 
 
-def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
+def bisect_bound(m, exhaustion=None, hi=None, tol=1e-8):
     """Smallest b (to absolute tolerance) at which certify_bound passes on
-    the exhaustion.  Defaults bracket [0, sufficiency_bound]."""
+    the exhaustion, bisected on [0, hi]; hi defaults to sufficiency_bound."""
     levels, _, sufficiency = _nested_levels(m, exhaustion)
 
     def certified(b):
@@ -436,6 +439,7 @@ def bisect_bound(m, exhaustion=None, lo=0.0, hi=None, tol=1e-8):
 
     if hi is None:
         hi = sufficiency()
+    lo = 0.0
     if certified(lo):
         return lo
     if not certified(hi):

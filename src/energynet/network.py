@@ -3,6 +3,11 @@
 A network is a finite connected graph with symmetric positive conductances
 and a distinguished origin vertex.  Vertices keep their insertion order and
 all matrix-valued quantities downstream index vertices by that order.
+
+A function on the vertices is one type, VertexFunction: the network and its
+values in vertex order.  Multipliers (multop.Multiplier) are its subclass
+with no data of their own; finite-energy classes (energy.EnergyVector) add
+only their energy.
 """
 
 from __future__ import annotations
@@ -92,7 +97,8 @@ class Network:
         )
 
     def __hash__(self):
-        return id(self)
+        # equal networks share vertices and origin; the edges only refine equality
+        return hash((self.vertices, self.origin))
 
     def __repr__(self):
         return f"Network(n={self.n}, edges={len(self.edges)}, origin={self.origin!r})"
@@ -109,9 +115,9 @@ class VertexFunction:
         return self.values[self.net.index(x)]
 
     @classmethod
-    def from_dict(cls, net, mapping, default=0.0):
-        """Values from {vertex: value}, `default` elsewhere; read-only."""
-        vals = np.full(net.n, default, dtype=complex)
+    def from_dict(cls, net, mapping):
+        """Values from {vertex: value}, 0 elsewhere; read-only."""
+        vals = np.zeros(net.n, dtype=complex)
         for x, v in mapping.items():
             vals[net.index(x)] = v
         if np.isrealobj(np.asarray(list(mapping.values()))) or not np.any(vals.imag):
@@ -174,9 +180,7 @@ def total_conductance(net, x):
 
 def laplacian_apply(net, u):
     """Apply the graph Laplacian pointwise: (Lu)(x) = sum c_xy (u(x) - u(y))."""
-    vals = np.asarray(u.values if hasattr(u, "values") else u)
-    out = net.laplacian_matrix() @ vals
-    return VertexFunction(net, out)
+    return VertexFunction(net, net.laplacian_matrix() @ u.values)
 
 
 def generate(family, size, conductance=1.0):

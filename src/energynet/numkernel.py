@@ -1,6 +1,5 @@
 """Dense Hermitian numerics: SPD solves, eigendecompositions, the top
-eigenpair of a psd operator, psd certification, matrix square roots, and
-Gram-metric orthonormalization.
+eigenpair of a psd operator, psd certification and matrix square roots.
 
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
@@ -111,8 +110,9 @@ def default_psd_tol(A):
     return 1e-9 * max(1.0, norm_inf)
 
 
-def psd_check(A, tol=None):
-    """Certify positive semidefiniteness: psd iff lambda_min >= -tol.
+def psd_check(A):
+    """Certify positive semidefiniteness: psd iff lambda_min >= -tol, with
+    tol = default_psd_tol(A).
 
     lambda_min comes from an eigenvalues-only solve.  Only a failing verdict
     carries a witness: the eigenvector of the smallest eigenvalue, unit
@@ -120,8 +120,7 @@ def psd_check(A, tol=None):
     eigendecomposition.  A passing verdict keeps no vector or matrix.
     """
     A = A if isinstance(A, SymMatrix) else SymMatrix.from_array(A)
-    if tol is None:
-        tol = default_psd_tol(A)
+    tol = default_psd_tol(A)
     try:
         lam = float(np.linalg.eigvalsh(A.a)[0])
     except np.linalg.LinAlgError as exc:
@@ -183,18 +182,3 @@ def sqrtm_psd(A):
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return SymMatrix.from_array(root, tol=1e-10)
-
-
-def gram_schmidt_V(V):
-    """Upper-triangular C with C* V C = I, i.e. Gram-Schmidt in the V metric.
-
-    Columns of C give orthonormal-basis coefficients in the original
-    enumeration order.
-    """
-    v = _mat(V)
-    try:
-        lower = scipy.linalg.cholesky(v, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    linv = scipy.linalg.solve_triangular(lower, np.eye(v.shape[0]), lower=True)
-    return linv.conj().T

@@ -45,6 +45,22 @@ def test_kernel_command(capsys):
     assert doc["bound_ok"] is True
 
 
+def test_kernel_bound_ok_at_documented_scale():
+    # sup|v_x| exceeds R(x) here by rounding alone (about 1e-10)
+    env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "energynet.cli", "kernel", "--gen", "integer_segment:2000",
+         "--vertex", "1000", "--format", "json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["bound_ok"] is True
+    assert doc["R"] == pytest.approx(1000.0, rel=1e-9)
+    assert doc["sup_norm"] == pytest.approx(doc["R"], rel=1e-9)
+
+
 def test_kernel_at_origin(capsys):
     code, doc = run_json(capsys, "kernel", "--gen", "path:3", "--vertex", "0")
     assert code == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,7 +54,7 @@ def test_energy_kernel_hand_values(p3):
 def test_energy_kernel_dipole_equation(test_net):
     for x in x_vertices(test_net):
         vx = en.energy_kernel(test_net, x)
-        lap = en.laplacian_apply(test_net, vx.as_function()).values
+        lap = en.laplacian_apply(test_net, vx).values
         expected = np.zeros(test_net.n)
         expected[test_net.index(x)] = 1.0
         expected[test_net.origin_index] = -1.0
@@ -65,6 +67,21 @@ def test_energy_kernel_real_positive(test_net):
         assert not np.iscomplexobj(vx.values)
         assert np.all(vx.values >= 0)
         assert vx[x] > 0
+
+
+def test_energy_vectors_are_vertex_functions(test_net):
+    rng = np.random.default_rng(4)
+    x = x_vertices(test_net)[-1]
+    u, vx = random_energy_vector(test_net, rng), en.energy_kernel(test_net, x)
+    L = test_net.laplacian_matrix()
+    made = [vx, en.ground(test_net, rng.standard_normal(test_net.n)), en.delta(test_net, x),
+            u + vx, u - vx, 2.5 * u, u * -0.5]
+    for w in made:
+        assert isinstance(w, en.VertexFunction)
+        assert not w.values.flags.writeable
+        assert w.values[test_net.origin_index] == 0.0
+        assert w.energy == pytest.approx(float(w.values @ L @ w.values), rel=1e-9, abs=1e-12)
+    assert [f.name for f in dataclasses.fields(en.EnergyVector)] == ["net", "values", "energy"]
 
 
 def test_effective_resistance(p3):
@@ -218,7 +235,7 @@ def test_edge_sum_agrees_with_laplacian_pairing(test_net):
     # E(u, u) vs <u, laplacian u> pointwise sum on a finite network
     rng = np.random.default_rng(5)
     u = random_energy_vector(test_net, rng)
-    lap = en.laplacian_apply(test_net, u.as_function()).values
+    lap = en.laplacian_apply(test_net, u).values
     assert u.energy == pytest.approx(float(np.real(np.conj(u.values) @ lap)), rel=1e-9)
 
 

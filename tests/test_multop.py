@@ -417,6 +417,13 @@ def test_multiplier_is_vertex_function(p3):
     assert Multiplier(p3, fvals).f is fvals
 
 
+def test_from_kernel_takes_kernel_values(test_net):
+    x = x_vertices(test_net)[-1]
+    f = Multiplier.from_kernel(test_net, x).f
+    assert f.dtype == np.float64 and f.flags.c_contiguous and not f.flags.writeable
+    np.testing.assert_array_equal(f, en.energy_kernel(test_net, x).values)
+
+
 def t_matrix(m, F):
     """The literal V_F^{1/2} conj(D_F) V_F^{-1/2}, whose l2 operator norm
     equals restricted_norm; an independent cross-check."""
@@ -516,6 +523,46 @@ def test_truncation_consistency_solves_once(monkeypatch):
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4], samples) <= 1e-9
     assert calls == [[1, 2, 3, 4]]
+
+
+def gram_schmidt_V(V):
+    """Reference: upper-triangular C with C* V C = I, from a fresh Cholesky
+    factor of V (Gram-Schmidt in the V metric)."""
+    lower = scipy.linalg.cholesky(V, lower=True)
+    return scipy.linalg.solve_triangular(lower, np.eye(len(V)), lower=True).conj().T
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 24), st.integers(0, 10**6), st.data())
+def test_truncation_basis_matches_gram_schmidt(n, seed, data):
+    net = random_network(n, seed, extra_edges=n // 2)
+    xs = x_vertices(net)
+    F_n = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=len(xs), unique=True))
+    # F_m encloses the neighbours of F_n, plus a random extra set
+    near = {net.vertices[j] for z in F_n
+            for j in net.indices[net.indptr[net.index(z)]:net.indptr[net.index(z) + 1]]}
+    extra = data.draw(st.lists(st.sampled_from(xs), unique=True))
+    F_m = list(dict.fromkeys(F_n + [x for x in xs if x in near or x in extra]))
+    rng = np.random.default_rng(seed)
+    m = Multiplier(net, rng.standard_normal(net.n) * (rng.random(net.n) < 0.7))
+
+    used = []
+    solve_triangular = scipy.linalg.solve_triangular
+
+    def spy(*args, **kwargs):
+        used.append(solve_triangular(*args, **kwargs))
+        return used[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "solve_triangular", spy)
+        resid = truncation_consistency(m, F_n, F_m)
+    (C,) = used
+    # the Gram matrix over F_m with F_n leading, as truncation_consistency orders it
+    V = en.gram_matrix(net, F_m).V.a
+    k = len(F_n)
+    want = gram_schmidt_V(V[:k, :k])
+    assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
+    assert resid <= 1e-9
 
 
 def test_truncation_insufficient_enclosure():

@@ -100,6 +100,13 @@ def test_real_values_are_contiguous_float64(p3):
     assert Multiplier.from_dict(p3, {2: 1j}).f.dtype == np.complex128
 
 
+def test_equal_networks_hash_equal():
+    a, b = en.generate("path", 3), en.generate("path", 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    heavier = en.build_network([(0, 1, 1.0), (1, 2, 2.0)], origin=0)
+    assert heavier != a and len({a, heavier}) == 2
+
+
 def test_total_conductance_unknown_vertex(p3):
     with pytest.raises(UnknownVertex):
         en.total_conductance(p3, 99)

@@ -163,24 +163,6 @@ def test_sqrtm_psd_roundtrip(seed, n):
     assert np.abs(b.a @ b.a - a).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
 
-def test_gram_schmidt_hand_value():
-    c = en.gram_schmidt_V(sym([[1, 1], [1, 2]]))
-    assert np.allclose(c, [[1, -1], [0, 1]])
-    assert np.allclose(en.gram_schmidt_V(sym(np.eye(3))), np.eye(3))
-    with pytest.raises(NotPositiveDefinite):
-        en.gram_schmidt_V(sym([[1, 1], [1, 1]]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 12))
-def test_gram_schmidt_property(seed, n):
-    rng = np.random.default_rng(seed)
-    v = random_psd(rng, n, allow_singular=False) + 0.05 * np.eye(n)
-    c = en.gram_schmidt_V(sym(v))
-    assert np.allclose(np.tril(c, -1), 0.0)
-    assert np.abs(c.conj().T @ v @ c - np.eye(n)).max() <= 1e-9 * max(1.0, np.abs(v).max())
-
-
 def test_symmatrix_rejects_nonhermitian():
     with pytest.raises(ValueError):
         SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
