@@ -30,7 +30,7 @@ def main():
         prev = None
         for k in list(range(args.step, n, args.step)) + [n]:
             rho = restricted_norm(m, tuple(range(1, k + 1)))
-            delta = "" if prev is None else f"  (+{rho - prev:.3e})"
+            delta = "" if prev is None else f"  ({rho - prev:+.3e})"
             print(f"  m = {k:4d}   rho_F = {rho:.12g}{delta}")
             prev = rho
 

@@ -11,6 +11,7 @@ Usage:
 import argparse
 
 import energynet as en
+from energynet.cli import _build_net
 from energynet.network import _parse_vertex
 from energynet.randwalk import escape_prob_exact, escape_prob_mc
 
@@ -23,8 +24,7 @@ def main():
     ap.add_argument("--samples", type=int, default=100_000)
     args = ap.parse_args()
 
-    family, _, size = args.gen.partition(":")
-    net = en.generate(family, int(size))
+    net = _build_net(args)
     x = _parse_vertex(args.vertex)
 
     exact = escape_prob_exact(net, x)

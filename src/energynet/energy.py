@@ -3,9 +3,9 @@ resistance, Gram matrices, projections onto Dirac spans, and the norms of
 the bounded-function algebra.
 
 Every finite-energy class is stored by its grounded representative (value 0
-at the origin); equality of classes is equality of grounded representatives.
-That representative is an EnergyVector: the network's one function type,
-VertexFunction, plus the cached energy.
+at the origin), an EnergyVector: the network's one function type,
+VertexFunction, plus the cached energy.  Equal classes are compared by their
+values (`np.array_equal`), not by `==`, which is identity.
 
 Cost model: each network factors its grounded Laplacian L_X once (a dense
 Cholesky, built on first use), and every kernel query is a solve against
@@ -34,7 +34,7 @@ from .network import VertexFunction, laplacian_apply
 from .numkernel import SymMatrix, spd_solve, sqrtm_psd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyVector(VertexFunction):
     """Grounded representative of a finite-energy class, with cached energy."""
 

@@ -12,7 +12,7 @@ energy Gram matrix in that basis is the grounded Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -96,24 +96,26 @@ def _nested_order(net, exhaustion):
 def _nested_levels(m, exhaustion=None):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
-    a leading block.  Returns (levels, trace, sufficiency).  levels() yields
-    (F, P_F, V_F) one level at a time in F's own order, with
-    P_F = f(x) conj(f(y)).  trace() returns (F, rho_F) per level from
-    T = U D* U^{-1}, where V = U^T U is the Gram matrix's Cholesky factor and
-    D = diag(f): T is upper triangular and the pencil (P_F o V_F, V_F) on a
-    leading k x k block is T_k^H T_k.  It runs once and then releases U and
-    T.  sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
+    a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
+    S = s_matrix(m, b, F_m) once and yields psd_check on each level's leading
+    block, a view of S, a failing witness in F's order.  trace() returns
+    (F, rho_F) per level from T = U D* U^{-1}, where V = U^T U is the Gram
+    matrix's Cholesky factor and D = diag(f): T is upper triangular and the
+    pencil (P_F o V_F, V_F) on a leading k x k block is T_k^H T_k.  It runs
+    once and then releases U and T.  sufficiency() is sufficiency_bound(m),
+    with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
     V = gram.V.a
     fv = np.array([m[x] for x in order])
     pos = {x: i for i, x in enumerate(order)}
 
-    def levels():
+    def certify(b):
+        S = _s(b, fv, V)
         for F in exhaustion:
-            p = [pos[x] for x in F]
-            # the outermost level reads V itself: a copy would raise peak memory
-            yield F, np.outer(fv[p], np.conj(fv[p])), V if F == order else V[np.ix_(p, p)]
+            # a principal block of a Hermitian matrix is Hermitian: no re-check
+            v = psd_check(SymMatrix(S.a[: len(F), : len(F)], S.defect))
+            yield v if v.is_psd else replace(v, witness=v.witness[[pos[x] for x in F]])
 
     def sufficiency():
         R = np.full(m.net.n, np.nan)
@@ -147,28 +149,29 @@ def _nested_levels(m, exhaustion=None):
             out.append((F, float(np.sqrt(max(lam, 0.0)))))
         return out
 
-    return levels, trace, sufficiency
+    return certify, trace, sufficiency
 
 
-def _s(b, P, V):
-    """S_F = (b^2 - P_F) V_F entrywise."""
+def _s(b, fv, V):
+    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv and V."""
     if not (np.isfinite(b) and b >= 0):
         raise InvalidInput("b must be finite and nonnegative")
-    return SymMatrix.from_array((b**2 - P) * V, tol=1e-9)
+    return SymMatrix.from_array((b**2 - np.outer(fv, np.conj(fv))) * V, tol=1e-9)
 
 
 def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
-    ((_, P, V),) = _nested_levels(m, [F])[0]()
-    return _s(b, P, V)
+    F = tuple(F)
+    return _s(b, np.array([m[x] for x in F]), gram_matrix(m.net, F).V.a)
 
 
 def certify_bound(m, b, exhaustion):
-    """psd-check s_f over a nested exhaustion.  All-psd is the
-    finite-truncation certificate for ||M_f|| <= b; any failure carries a
-    rigorous witness vector for ||M_f|| > b."""
-    return [psd_check(_s(b, P, V)) for _, P, V in _nested_levels(m, exhaustion)[0]()]
+    """psd-check s_f over a nested exhaustion, each level a leading block of
+    one S over the outer set.  All-psd certifies ||M_f|| <= b on the
+    truncations; a failure carries a rigorous witness for ||M_f|| > b, in
+    F's own order."""
+    return list(_nested_levels(m, exhaustion)[0](b))
 
 
 def restricted_norm(m, F):
@@ -405,7 +408,7 @@ def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
     (or at the best lower bound when estimating)."""
-    levels, trace, sufficiency = _nested_levels(m, exhaustion)
+    certify, trace, sufficiency = _nested_levels(m, exhaustion)
     lower, best_lower = [], 0.0
     for F, rho in trace():
         if rho < best_lower - 1e-7 * max(1.0, best_lower):
@@ -420,7 +423,7 @@ def analyze(m, exhaustion=None, bound=None):
             f"lower bound {best_lower} exceeds sufficiency bound {upper}"
         )
     b = best_lower * (1 + 1e-9) + 1e-12 if bound is None else bound
-    certs = [(b, psd_check(_s(b, P, V))) for _, P, V in levels()]
+    certs = [(b, v) for v in certify(b)]
     ok = all(v.is_psd for _, v in certs)
     if bound is not None:
         verdict = f"PASS<={bound:.12g}" if ok else f"FAIL>{bound:.12g}"
@@ -432,10 +435,10 @@ def analyze(m, exhaustion=None, bound=None):
 def bisect_bound(m, exhaustion=None, hi=None, tol=1e-8):
     """Smallest b (to absolute tolerance) at which certify_bound passes on
     the exhaustion, bisected on [0, hi]; hi defaults to sufficiency_bound."""
-    levels, _, sufficiency = _nested_levels(m, exhaustion)
+    certify, _, sufficiency = _nested_levels(m, exhaustion)
 
     def certified(b):
-        return all(psd_check(_s(b, P, V)).is_psd for _, P, V in levels())
+        return all(v.is_psd for v in certify(b))
 
     if hi is None:
         hi = sufficiency()

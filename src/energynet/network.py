@@ -104,9 +104,9 @@ class Network:
         return f"Network(n={self.n}, edges={len(self.edges)}, origin={self.origin!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
-    """Scalar function on the vertices, stored in vertex order."""
+    """Scalar function on the vertices, stored in vertex order; `==` is identity."""
 
     net: Network
     values: np.ndarray

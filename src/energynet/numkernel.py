@@ -5,7 +5,9 @@ Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
 computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
 matrix-vector product, and `psd_check` solves for eigenvalues only, adding
-the eigenvector solve for a witness only when the check fails.
+the eigenvector solve for a witness only when the check fails.  Matrix
+arguments are `SymMatrix` only: Hermitian symmetry is checked once, by
+`SymMatrix.from_array`, where a matrix enters.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class PsdVerdict:
     witness: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _mat(A):
-    return A.a if isinstance(A, SymMatrix) else SymMatrix.from_array(A).a
-
-
 def _fix_sign(v):
     # first nonzero component made positive, for reproducible witnesses
     nz = np.flatnonzero(np.abs(v) > 0)
@@ -74,22 +72,21 @@ def spd_solve(A, b):
 
     One step of iterative refinement if the residual exceeds 1e-10 * ||b||.
     """
-    a = _mat(A)
     b = np.asarray(b)
     try:
-        factor = scipy.linalg.cho_factor(a)
+        factor = scipy.linalg.cho_factor(A.a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
     def solve(rhs):
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(a):
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(A.a):
             return scipy.linalg.cho_solve(factor, rhs.real) + 1j * scipy.linalg.cho_solve(
                 factor, rhs.imag
             )
         return scipy.linalg.cho_solve(factor, rhs)
 
     x = solve(b)
-    resid = b - a @ x
+    resid = b - A.a @ x
     if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(b), 1e-300):
         x = x + solve(resid)
     return x
@@ -98,15 +95,14 @@ def spd_solve(A, b):
 def sym_eig(A):
     """Eigendecomposition A = Q diag(w) Q*, eigenvalues ascending."""
     try:
-        w, q = np.linalg.eigh(_mat(A))
+        w, q = np.linalg.eigh(A.a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
     return w, q
 
 
 def default_psd_tol(A):
-    a = _mat(A)
-    norm_inf = np.abs(a).sum(axis=1).max() if a.size else 0.0
+    norm_inf = np.abs(A.a).sum(axis=1).max() if A.n else 0.0
     return 1e-9 * max(1.0, norm_inf)
 
 
@@ -119,7 +115,6 @@ def psd_check(A):
     length, sign fixed by its first nonzero component, from one full
     eigendecomposition.  A passing verdict keeps no vector or matrix.
     """
-    A = A if isinstance(A, SymMatrix) else SymMatrix.from_array(A)
     tol = default_psd_tol(A)
     try:
         lam = float(np.linalg.eigvalsh(A.a)[0])

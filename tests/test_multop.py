@@ -182,6 +182,62 @@ def test_nested_levels_match_per_level(seed):
         assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
 
 
+def test_one_s_matrix_per_bound(monkeypatch):
+    """S is formed once per bound over the outer set, however many levels the
+    exhaustion has: one Hermitian check for the Gram matrix, one per bound."""
+    net = en.generate("integer_segment", 12)
+    m = Multiplier.from_kernel(net, 3)
+    xs = x_vertices(net)
+    calls = []
+    from_array = en.SymMatrix.from_array.__func__
+    counted = classmethod(lambda *a, **k: calls.append(1) or from_array(*a, **k))
+    monkeypatch.setattr(en.SymMatrix, "from_array", counted)
+    rho = restricted_norm(m, xs)
+    counts = {}
+    for levels in (2, 6):
+        exhaustion = [tuple(xs[:k]) for k in np.linspace(1, len(xs), levels, dtype=int)]
+        counts[levels] = []
+        for run in (
+            lambda: analyze(m, exhaustion),
+            lambda: certify_bound(m, 0.5 * rho, exhaustion),
+            lambda: certify_bound(m, 2 * rho, exhaustion),
+            lambda: bisect_bound(m, exhaustion, tol=1e-3),
+        ):
+            calls.clear()
+            run()
+            counts[levels].append(len(calls))
+    assert counts[2] == counts[6]
+    assert counts[2][:3] == [2, 2, 2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_failing_witness_in_level_order(seed):
+    """Below the norm, every failing level's witness is a negative direction of
+    S_F with its entries in F's own (shuffled) order."""
+    m, exhaustion, rng = _shuffled_nested_case(seed)
+    b = restricted_norm(m, exhaustion[-1]) * rng.uniform(0.3, 0.9)
+    verdicts = certify_bound(m, b, exhaustion)
+    assert not verdicts[-1].is_psd
+    for F, v in zip(exhaustion, verdicts):
+        if not v.is_psd:
+            xi = v.witness
+            assert np.real(np.conj(xi) @ s_matrix(m, b, F).a @ xi) < 0
+
+
+@pytest.mark.parametrize("family, size, x", [("integer_segment", 40, 7), ("binary_tree", 5, 9)])
+def test_prefix_certificates_equal_one_set(family, size, x):
+    """On prefix levels with real f, each leading block of S holds the very
+    entries of the one-set S_F, so the eigenvalues agree exactly."""
+    net = en.generate(family, size)
+    m = Multiplier.from_kernel(net, x)
+    exhaustion = default_exhaustion(net)
+    rho = restricted_norm(m, exhaustion[-1])
+    for b in (0.7 * rho, 1.1 * rho):
+        for F, v in zip(exhaustion, certify_bound(m, b, exhaustion)):
+            assert v.min_eigenvalue == en.psd_check(s_matrix(m, b, F)).min_eigenvalue
+
+
 def test_restricted_norm_hand_value(p3):
     m = Multiplier.delta(p3, 1)
     assert restricted_norm(m, [1, 2]) == pytest.approx(np.sqrt(2.0), abs=1e-10)
@@ -427,7 +483,7 @@ def test_from_kernel_takes_kernel_values(test_net):
 def t_matrix(m, F):
     """The literal V_F^{1/2} conj(D_F) V_F^{-1/2}, whose l2 operator norm
     equals restricted_norm; an independent cross-check."""
-    root = en.sqrtm_psd(en.gram_matrix(m.net, F).V.a).a
+    root = en.sqrtm_psd(en.gram_matrix(m.net, F).V).a
     fv = np.conj(np.array([m[x] for x in F]))
     return root @ np.diag(fv) @ np.linalg.inv(root)
 

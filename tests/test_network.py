@@ -107,6 +107,14 @@ def test_equal_networks_hash_equal():
     assert heavier != a and len({a, heavier}) == 2
 
 
+def test_vertex_functions_compare_by_identity(p3):
+    for make in (lambda: VertexFunction.delta(p3, 1), lambda: en.delta(p3, 1),
+                 lambda: Multiplier.delta(p3, 1)):
+        u, v = make(), make()
+        assert u == u and u != v and isinstance(hash(u), int) and len({u, u, v}) == 2
+        np.testing.assert_array_equal(u.values, v.values)
+
+
 def test_total_conductance_unknown_vertex(p3):
     with pytest.raises(UnknownVertex):
         en.total_conductance(p3, 99)

@@ -24,6 +24,7 @@ def test_norm_growth_runs():
         trace = lines[head + 2 : head + 2 + size_lines]
         assert [ln.split()[2] for ln in trace] == [str(k) for k in range(5, n + 1, 5)]
         assert all("rho_F = " in ln for ln in trace)
+    assert not any("+-" in ln for ln in lines)
 
 
 def test_walk_coverage_runs():
