@@ -96,9 +96,15 @@ def _num(z):
 
 
 def _emit(doc, fmt, csv_rows=None):
+    """Print doc as JSON, pretty text or CSV.  CSV is the command's table
+    (csv_rows), or else key,value rows of the document's scalar entries."""
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
+        if csv_rows is None:
+            csv_rows = [("key", "value")] + [
+                (k, v) for k, v in doc.items() if not isinstance(v, (dict, list))
+            ]
         for row in csv_rows:
             print(",".join(str(c) for c in row))
     else:
@@ -136,9 +142,10 @@ def cmd_kernel(args):
     x = _parse_vertex(args.vertex)
     vx = energy.energy_kernel(net, x)
     doc = {"command": "kernel", "vertex": x}
+    rows = [("vertex", "value")] + [(v, vx[v]) for v in net.vertices]
     if net.index(x) == net.origin_index:
         doc.update({"note": "v_o is the zero class", "values": {str(v): 0.0 for v in net.vertices}})
-        _emit(doc, args.format)
+        _emit(doc, args.format, csv_rows=rows)
         return 0
     r = float(vx[x])  # R(x) = v_x(x)
     s = energy.sup_norm(vx)
@@ -151,7 +158,6 @@ def cmd_kernel(args):
             "bound_ok": bool(s <= r * (1 + 1e-9)),
         }
     )
-    rows = [("vertex", "value")] + [(v, vx[v]) for v in net.vertices]
     _emit(doc, args.format, csv_rows=rows)
     return 0 if doc["bound_ok"] else 1
 

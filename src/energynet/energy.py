@@ -17,21 +17,19 @@ nothing else is cached, in particular no kernel vector per vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidInput,
     InvariantViolation,
     NetworkMismatch,
-    NotPositiveDefinite,
     OriginInF,
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply
-from .numkernel import SymMatrix, spd_solve, sqrtm_psd
+from .numkernel import SymMatrix, cho_solve, cholesky, spd_solve, sqrtm_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +97,11 @@ def energy_form(u, v):
 
 
 def _grounded_cholesky(net):
-    """Cholesky factor of the Laplacian with the origin row/column deleted."""
+    """Upper Cholesky factor of the Laplacian with the origin row/column deleted."""
     if net._grounded_cho is None:
         keep = x_indices(net)
-        L = net.laplacian_matrix()[np.ix_(keep, keep)]
-        net._grounded_cho = scipy.linalg.cho_factor(L)
+        # laplacian_matrix writes both triangles from the same weights: no symmetry re-check
+        net._grounded_cho = cholesky(SymMatrix(net.laplacian_matrix()[np.ix_(keep, keep)], 0.0))
     return net._grounded_cho
 
 
@@ -121,7 +119,7 @@ def kernel_columns(net, idx):
     rhs = np.zeros((net.n - 1, idx.size))
     rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
     cols = np.zeros((net.n, idx.size))
-    cols[x_indices(net)] = scipy.linalg.cho_solve(_grounded_cholesky(net), rhs)
+    cols[x_indices(net)] = cho_solve(_grounded_cholesky(net), rhs)
     return cols
 
 
@@ -145,24 +143,17 @@ def effective_resistance(net, x):
     return float(np.real(energy_kernel(net, x)[x]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
-    """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X."""
+    """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X, and
+    its upper Cholesky factor U, V = U^T U."""
 
     F: tuple
     V: SymMatrix
-    _cho: tuple = field(default=None, repr=False)
+    U: np.ndarray
 
     def sqrt(self):
         return sqrtm_psd(self.V)
-
-    def cholesky(self):
-        if self._cho is None:
-            try:
-                self._cho = scipy.linalg.cho_factor(self.V.a)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from None
-        return self._cho
 
 
 def gram_matrix(net, F):
@@ -190,9 +181,9 @@ def _gram_and_columns(net, F):
             f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form[i, j]!r} "
             f"disagrees with kernel value {V[i, j]!r}"
         )
-    gram = GramMatrix(F, SymMatrix.from_array((V + V.T) / 2, tol=1e-9))
-    gram.cholesky()  # positive definiteness is an invariant of the type
-    return gram, K
+    V = SymMatrix.from_array((V + V.T) / 2, tol=1e-9)
+    # factored here, so positive definiteness is an invariant of the type
+    return GramMatrix(F, V, cholesky(V)), K
 
 
 def delta_gram(net, F):

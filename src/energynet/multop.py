@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .energy import (
     _gram_and_columns,
+    _grounded_cholesky,
     delta,
     delta_gram,
     effective_resistance,
@@ -37,7 +38,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, psd_check, top_eigpair
+from .numkernel import SymMatrix, cho_solve, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -124,10 +125,9 @@ def _nested_levels(m, exhaustion=None):
 
     def trace():
         nonlocal gram
-        (U, _), gram = gram.cholesky(), None
-        # W = T^T = U^{-T} (D* U^T), solved in place of its right-hand side;
-        # cho_factor leaves V's entries below U's diagonal, hence the triu
-        W = np.triu(U).T * np.conj(fv)[:, None]
+        U, gram = gram.U, None
+        # W = T^T = U^{-T} (D* U^T), solved in place of its right-hand side
+        W = U.T * np.conj(fv)[:, None]
         W = scipy.linalg.solve_triangular(U, W, trans="T", overwrite_b=True, check_finite=False)
         out = []
         for F in exhaustion:
@@ -227,9 +227,9 @@ def _ketbra(net, a, b, L):
     return np.outer(_coeff(a), L @ np.conj(_coeff(b)))
 
 
-def _adjoint(A, L):
-    """Energy-space adjoint of the coefficient matrix A: L^{-1} A* L."""
-    return np.linalg.solve(L, A.conj().T @ L)
+def _adjoint(net, A, L):
+    """Energy-space adjoint of the coefficient matrix A: L^{-1} A* L, L = L_X."""
+    return cho_solve(_grounded_cholesky(net), A.conj().T @ L)
 
 
 def _energy_norm(net, coeff, L):
@@ -256,8 +256,8 @@ def rank_one_identities(net, x, y):
 
     Mx = np.diag(_coeff(deltax))
     My = np.diag(_coeff(deltay))
-    Mx_star = _adjoint(Mx, L)
-    My_star = _adjoint(My, L)
+    Mx_star = _adjoint(net, Mx, L)
+    My_star = _adjoint(net, My, L)
 
     dd = complex(energy_form(deltax, deltay))
     vv = complex(energy_form(vx, vy))
@@ -306,7 +306,7 @@ def normalized_projections(net, x, y):
     Dy = _ketbra(net, dy, dy, L)
 
     Mx = np.diag(_coeff(dxv))
-    Mx_star = _adjoint(Mx, L)
+    Mx_star = _adjoint(net, Mx, L)
 
     rx, ry = effective_resistance(net, x), effective_resistance(net, y)
     cx, cy = total_conductance(net, x), total_conductance(net, y)
@@ -345,8 +345,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     L = _dirac_gram(net)
     # V_{F_n} = U_k^T U_k on the leading block of the Gram factor, so
     # C = U_k^{-1} satisfies C^T V_{F_n} C = I: Gram-Schmidt in the V metric
-    U, _ = gram.cholesky()
-    C = scipy.linalg.solve_triangular(U[:k, :k], np.eye(k), check_finite=False)
+    C = scipy.linalg.solve_triangular(gram.U[:k, :k], np.eye(k), check_finite=False)
     B = K @ C  # orthonormal basis coefficients
     P = B @ (B.conj().T @ L)
 

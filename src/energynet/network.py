@@ -61,7 +61,6 @@ class Network:
         self.weights = np.repeat(self.edge_w, 2)[rows]
         self.conductance = np.bincount(src[rows], weights=self.weights, minlength=self.n)
         # built on first use and kept for the life of the network
-        self._laplacian = None
         self._grounded_cho = None
 
     def index(self, x):
@@ -75,14 +74,12 @@ class Network:
         return self._index[self.origin]
 
     def laplacian_matrix(self):
-        """Dense Laplacian, physics sign convention (nonnegative spectrum)."""
-        if self._laplacian is None:
-            # edges are unique after build_network's merge, so no entry repeats
-            L = np.zeros((self.n, self.n))
-            L[self.edge_i, self.edge_j] = L[self.edge_j, self.edge_i] = -self.edge_w
-            np.fill_diagonal(L, self.conductance)
-            self._laplacian = L
-        return self._laplacian
+        """Dense Laplacian, physics sign convention (nonnegative spectrum); not cached."""
+        # edges are unique after build_network's merge, so no entry repeats
+        L = np.zeros((self.n, self.n))
+        L[self.edge_i, self.edge_j] = L[self.edge_j, self.edge_i] = -self.edge_w
+        np.fill_diagonal(L, self.conductance)
+        return L
 
     def edge_dict(self):
         return {frozenset((x, y)): w for x, y, w in self.edges}
@@ -148,8 +145,10 @@ def build_network(edge_list, origin):
         if x == y:
             raise SelfLoop(f"self-loop at vertex {x!r}")
         fw = float(w)
-        if not (fw > 0):
-            raise NonPositiveConductance(f"edge ({x!r},{y!r}) has weight {w!r}")
+        if not 0 < fw < np.inf:
+            raise NonPositiveConductance(
+                f"edge ({x!r},{y!r}) has weight {w!r}: must be finite and positive"
+            )
         vertices[x] = vertices[y] = None  # a key keeps its first position
         # keyed by the first orientation seen; a reversed repeat finds it too
         first = weights.get((y, x)) or weights.setdefault((x, y), (x, y, fw))
@@ -179,8 +178,11 @@ def total_conductance(net, x):
 
 
 def laplacian_apply(net, u):
-    """Apply the graph Laplacian pointwise: (Lu)(x) = sum c_xy (u(x) - u(y))."""
-    return VertexFunction(net, net.laplacian_matrix() @ u.values)
+    """Apply the graph Laplacian pointwise: (Lu)(x) = sum c_xy (u(x) - u(y)),
+    from the CSR rows (every row is nonempty: a network is connected)."""
+    v = u.values
+    Lv = net.conductance * v - np.add.reduceat(net.weights * v[net.indices], net.indptr[:-1])
+    return VertexFunction(net, Lv)
 
 
 def generate(family, size, conductance=1.0):

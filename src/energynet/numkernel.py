@@ -67,28 +67,34 @@ def _fix_sign(v):
     return v
 
 
+def cholesky(A):
+    """Upper-triangular U with A = U^H U, zeros below its diagonal: the one
+    Cholesky factorization of the package."""
+    try:
+        return scipy.linalg.cholesky(A.a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+
+
+def cho_solve(U, rhs):
+    """Solve U^H U x = rhs for the array U that `cholesky` returns.  A complex
+    right-hand side against a real factor is solved as two real systems."""
+    if np.iscomplexobj(rhs) and not np.iscomplexobj(U):
+        return cho_solve(U, rhs.real) + 1j * cho_solve(U, rhs.imag)
+    return scipy.linalg.cho_solve((U, False), rhs)
+
+
 def spd_solve(A, b):
     """Solve Ax = b for symmetric positive definite A via Cholesky.
 
     One step of iterative refinement if the residual exceeds 1e-10 * ||b||.
     """
     b = np.asarray(b)
-    try:
-        factor = scipy.linalg.cho_factor(A.a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-
-    def solve(rhs):
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(A.a):
-            return scipy.linalg.cho_solve(factor, rhs.real) + 1j * scipy.linalg.cho_solve(
-                factor, rhs.imag
-            )
-        return scipy.linalg.cho_solve(factor, rhs)
-
-    x = solve(b)
+    U = cholesky(A)
+    x = cho_solve(U, b)
     resid = b - A.a @ x
     if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(b), 1e-300):
-        x = x + solve(resid)
+        x = x + cho_solve(U, resid)
     return x
 
 

@@ -7,7 +7,7 @@ c(x) R(x) P[x -> o] = 1, checked in the tests for every vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,15 +26,7 @@ class WalkEstimate:
     cap_hits: int = 0
 
     def to_json_dict(self):
-        return {
-            "x": self.x,
-            "exact": self.exact,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "cap_hits": self.cap_hits,
-        }
+        return asdict(self)
 
 
 def transition_prob(net, x, y):

@@ -321,6 +321,58 @@ def test_csv_format(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv,first,row",
+    [
+        (["kernel", "--gen", "path:3", "--vertex", "0"], "vertex,value", "2,0.0"),
+        (["walk", "--gen", "path:5", "--vertex", "2", "--samples", "100"], "key,value", "x,2"),
+        (["banach", "--gen", "path:3", "--u", "kernel:1"], "key,value", "command,banach"),
+        (
+            ["banach", "--gen", "path:3", "--u", "kernel:1", "--u2", "kernel:2"],
+            "key,value",
+            "pass,True",
+        ),
+    ],
+)
+def test_csv_format_without_pretty_fallback(capsys, argv, first, row):
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == first and row in lines
+    assert all(line.count(",") == 1 for line in lines)
+
+
+def test_non_finite_conductance_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"origin": 0, "edges": [[0, 1, 1e400], [1, 2, 1.0]]}')
+    for argv in (["kernel", "--vertex", "2"], ["walk", "--vertex", "2", "--samples", "10"]):
+        assert main([*argv, "--net", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: edge (0,1) has weight inf")
+        assert len(err.splitlines()) == 1
+
+
+def test_grounded_laplacian_not_positive_definite_exits_2(tmp_path, capsys):
+    # 1 + 1e-17 rounds to 1: the grounded Laplacian is singular in floating point
+    path = tmp_path / "tiny.json"
+    path.write_text('{"origin": 0, "edges": [[0, 1, 1.0], [1, 2, 1e-17], [2, 3, 1.0]]}')
+    assert main(["kernel", "--net", str(path), "--vertex", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_import_loads_no_sparse():
+    # scipy.sparse costs start-up time on every CLI call: import it only where it is used
+    code = (
+        "import sys, energynet.cli; "
+        "print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_pretty_format(capsys):
     code, out = run(capsys, "kernel", "--gen", "path:3", "--vertex", "1")
     assert code == 0

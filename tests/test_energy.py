@@ -112,6 +112,19 @@ def test_gram_matrix_segment_min():
     assert np.allclose(gm.V.a, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-9)
 
 
+def test_gram_factor_is_upper_cholesky(test_net):
+    gm = en.gram_matrix(test_net, x_vertices(test_net))
+    assert np.all(np.tril(gm.U, -1) == 0.0)
+    np.testing.assert_allclose(gm.U.T @ gm.U, gm.V.a, rtol=0, atol=1e-12 * np.abs(gm.V.a).max())
+
+
+def test_network_keeps_no_dense_laplacian():
+    seg = en.generate("integer_segment", 40)
+    en.analyze(en.Multiplier.from_kernel(seg, 5))
+    square = [k for k, v in vars(seg).items() if getattr(v, "shape", None) == (seg.n, seg.n)]
+    assert square == []
+
+
 def test_gram_matrix_rejects_origin(p3):
     with pytest.raises(OriginInF):
         en.gram_matrix(p3, [0, 1])

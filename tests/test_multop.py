@@ -535,6 +535,29 @@ def test_rank_one_identities(test_net):
     assert resid <= 1e-9
 
 
+def test_solves_use_the_one_factor_routine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve outside numkernel.cholesky / cho_solve")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+    net = en.generate("binary_tree", 3)
+    assert analyze(Multiplier.from_kernel(net, 4)).verdict.startswith("certified<=")
+    assert rank_one_identities(net, 3, 9) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [40, 160])
+@pytest.mark.parametrize("k", [5, 8, 20, 40])
+def test_segment_prefix_norm_is_full_norm_of_shorter_segment(n, k):
+    # the tail k+1..n of integer_segment:n hangs off F = {1..k} at one vertex, a
+    # dangling branch: V_F and f = v_5 on F are those of integer_segment:k
+    seg, short = en.generate("integer_segment", n), en.generate("integer_segment", k)
+    rho = restricted_norm(Multiplier.from_kernel(seg, 5), range(1, k + 1))
+    full = restricted_norm(Multiplier.from_kernel(short, 5), x_vertices(short))
+    assert rho == pytest.approx(full, rel=1e-12, abs=0)
+    assert rho == pytest.approx(5.948585209979, rel=1e-11)
+
+
 def test_rank_one_checks_reject_origin(p3):
     for check in (rank_one_identities, normalized_projections):
         for x, y in ((0, 1), (1, 0)):

@@ -47,6 +47,8 @@ def test_duplicate_edge_merged_and_conflicting_rejected():
         ([(0, 0, 1)], 0, SelfLoop),
         ([(0, 1, 1), (2, 3, 1)], 0, Disconnected),
         ([(0, 1, 1)], 5, OriginMissing),
+        ([(0, 1, float("inf"))], 0, NonPositiveConductance),
+        ([(0, 1, float("nan"))], 0, NonPositiveConductance),
     ],
 )
 def test_build_errors(edges, origin, err):
@@ -125,6 +127,14 @@ def test_laplacian_annihilates_constants(test_net):
     assert np.abs(out.values).max() <= 1e-12
 
 
+def test_laplacian_apply_matches_dense_product(test_net):
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal(test_net.n) + 1j * rng.standard_normal(test_net.n)
+    out = en.laplacian_apply(test_net, VertexFunction(test_net, vals)).values
+    ref = test_net.laplacian_matrix() @ vals
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def test_laplacian_hand_values(p3):
     out = en.laplacian_apply(p3, VertexFunction(p3, np.array([0.0, 1.0, 1.0])))
     assert np.allclose(out.values, [-1.0, 1.0, 0.0])
@@ -187,6 +197,19 @@ def test_load_errors(tmp_path):
     garbage.write_text("{not json")
     with pytest.raises(ParseError):
         en.load_network(garbage)
+
+
+def test_non_finite_conductance_rejected(tmp_path):
+    js = tmp_path / "inf.json"
+    js.write_text('{"origin": 0, "edges": [[0, 1, 1e400], [1, 2, 1.0]]}')
+    with pytest.raises(NonPositiveConductance, match="must be finite and positive"):
+        en.load_network(js)
+    cs = tmp_path / "inf.csv"
+    cs.write_text("x,y,c\n0,1,inf\n1,2,1.0\n")
+    with pytest.raises(NonPositiveConductance, match="must be finite and positive"):
+        en.load_network(cs, origin=0)
+    with pytest.raises(NonPositiveConductance, match="must be finite and positive"):
+        en.generate("path", 3, conductance=lambda x, y: float("inf"))
 
 
 def test_load_csv(tmp_path):

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 import energynet as en
 from energynet import numkernel
 from energynet.errors import NotPositiveDefinite, NotPsd
-from energynet.numkernel import SymMatrix, _fix_sign, default_psd_tol, top_eigpair
+from energynet.numkernel import (
+    SymMatrix,
+    _fix_sign,
+    cho_solve,
+    cholesky,
+    default_psd_tol,
+    top_eigpair,
+)
 
 
 def sym(arr):
@@ -39,6 +46,29 @@ def test_spd_solve_singular_rejected():
 def test_spd_solve_complex_rhs():
     x = en.spd_solve(sym([[2, -1], [-1, 2]]), np.array([1.0 + 1j, 0.0]))
     assert np.allclose(x, np.array([2 / 3, 1 / 3]) * (1 + 1j))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_cholesky_upper_with_zero_lower_triangle(n):
+    rng = np.random.default_rng(n)
+    A = sym(random_psd(rng, n, allow_singular=False))
+    U = cholesky(A)
+    assert np.all(np.tril(U, -1) == 0.0)
+    np.testing.assert_allclose(U.T @ U, A.a, rtol=0, atol=1e-12 * np.abs(A.a).max())
+
+
+def test_cholesky_rejects_indefinite():
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(sym([[1, 2], [2, 1]]))
+
+
+def test_cho_solve_complex_rhs_against_real_factor():
+    rng = np.random.default_rng(4)
+    A = sym(random_psd(rng, 6, allow_singular=False))
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x = cho_solve(cholesky(A), b)
+    assert np.iscomplexobj(x)
+    np.testing.assert_allclose(x, np.linalg.solve(A.a.astype(complex), b), rtol=1e-12)
 
 
 def test_sym_eig_values():

@@ -178,4 +178,4 @@ def test_walk_estimate_json(p3):
     assert doc["x"] == 1
     assert doc["samples"] == 100
     assert doc["seed"] == 0
-    assert set(doc) == {"x", "exact", "mc_estimate", "mc_stderr", "samples", "seed", "cap_hits"}
+    assert list(doc) == ["x", "exact", "mc_estimate", "mc_stderr", "samples", "seed", "cap_hits"]
