@@ -181,7 +181,7 @@ def _gram_and_columns(net, F):
             f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form[i, j]!r} "
             f"disagrees with kernel value {V[i, j]!r}"
         )
-    V = SymMatrix.from_array((V + V.T) / 2, tol=1e-9)
+    V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
     # factored here, so positive definiteness is an invariant of the type
     return GramMatrix(F, V, cholesky(V)), K
 

@@ -38,7 +38,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, cho_solve, psd_check, top_eigpair
+from .numkernel import SymMatrix, cho_solve, psd_check, psd_verdict, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -98,8 +98,9 @@ def _nested_levels(m, exhaustion=None):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
     a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
-    S = s_matrix(m, b, F_m) once and yields psd_check on each level's leading
-    block, a view of S, a failing witness in F's order.  trace() returns
+    S = s_matrix(m, b, F_m) once and yields the psd verdict of each level's
+    leading block, a view of S; certify(b, witness=True) adds psd_check's
+    witness to each failing verdict, in F's order.  trace() returns
     (F, rho_F) per level from T = U D* U^{-1}, where V = U^T U is the Gram
     matrix's Cholesky factor and D = diag(f): T is upper triangular and the
     pencil (P_F o V_F, V_F) on a leading k x k block is T_k^H T_k.  It runs
@@ -111,12 +112,13 @@ def _nested_levels(m, exhaustion=None):
     fv = np.array([m[x] for x in order])
     pos = {x: i for i, x in enumerate(order)}
 
-    def certify(b):
+    def certify(b, witness=False):
         S = _s(b, fv, V)
         for F in exhaustion:
             # a principal block of a Hermitian matrix is Hermitian: no re-check
-            v = psd_check(SymMatrix(S.a[: len(F), : len(F)], S.defect))
-            yield v if v.is_psd else replace(v, witness=v.witness[[pos[x] for x in F]])
+            block = SymMatrix(S.a[: len(F), : len(F)], S.defect)
+            v = psd_check(block) if witness else psd_verdict(block)
+            yield v if v.witness is None else replace(v, witness=v.witness[[pos[x] for x in F]])
 
     def sufficiency():
         R = np.full(m.net.n, np.nan)
@@ -171,7 +173,7 @@ def certify_bound(m, b, exhaustion):
     one S over the outer set.  All-psd certifies ||M_f|| <= b on the
     truncations; a failure carries a rigorous witness for ||M_f|| > b, in
     F's own order."""
-    return list(_nested_levels(m, exhaustion)[0](b))
+    return list(_nested_levels(m, exhaustion)[0](b, witness=True))
 
 
 def restricted_norm(m, F):
@@ -406,7 +408,10 @@ def default_exhaustion(net):
 def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
-    (or at the best lower bound when estimating)."""
+    (or at the best lower bound when estimating).  The certificates carry
+    no witness vectors; certify_bound gives them.  Certificates that all
+    pass at a b below the trace's best lower bound contradict each other
+    and raise InvariantViolation."""
     certify, trace, sufficiency = _nested_levels(m, exhaustion)
     lower, best_lower = [], 0.0
     for F, rho in trace():
@@ -424,6 +429,10 @@ def analyze(m, exhaustion=None, bound=None):
     b = best_lower * (1 + 1e-9) + 1e-12 if bound is None else bound
     certs = [(b, v) for v in certify(b)]
     ok = all(v.is_psd for _, v in certs)
+    if ok and best_lower > b * (1 + 1e-9):
+        raise InvariantViolation(
+            f"psd certificates pass at b = {b!r}, below the lower bound {best_lower!r}"
+        )
     if bound is not None:
         verdict = f"PASS<={bound:.12g}" if ok else f"FAIL>{bound:.12g}"
     else:

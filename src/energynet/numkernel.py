@@ -4,15 +4,15 @@ eigenpair of a psd operator, psd certification and matrix square roots.
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
 computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
-matrix-vector product, and `psd_check` solves for eigenvalues only, adding
-the eigenvector solve for a witness only when the check fails.  Matrix
-arguments are `SymMatrix` only: Hermitian symmetry is checked once, by
-`SymMatrix.from_array`, where a matrix enters.
+matrix-vector product, `psd_verdict` solves for eigenvalues only, and
+`psd_check` adds the eigenvector solve for a witness only when the check
+fails.  Matrix arguments are `SymMatrix` only: Hermitian symmetry is
+checked once, by `SymMatrix.from_array`, where a matrix enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +112,17 @@ def default_psd_tol(A):
     return 1e-9 * max(1.0, norm_inf)
 
 
+def psd_verdict(A):
+    """The verdict of `psd_check` without its witness: psd iff lambda_min >=
+    -tol, from one eigenvalues-only solve and no eigenvector."""
+    tol = float(default_psd_tol(A))
+    try:
+        lam = float(np.linalg.eigvalsh(A.a)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+    return PsdVerdict(lam >= -tol, lam, tol)
+
+
 def psd_check(A):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol, with
     tol = default_psd_tol(A).
@@ -121,14 +132,8 @@ def psd_check(A):
     length, sign fixed by its first nonzero component, from one full
     eigendecomposition.  A passing verdict keeps no vector or matrix.
     """
-    tol = default_psd_tol(A)
-    try:
-        lam = float(np.linalg.eigvalsh(A.a)[0])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
-    if lam >= -tol:
-        return PsdVerdict(True, lam, float(tol))
-    return PsdVerdict(False, lam, float(tol), _fix_sign(sym_eig(A)[1][:, 0]))
+    v = psd_verdict(A)
+    return v if v.is_psd else replace(v, witness=_fix_sign(sym_eig(A)[1][:, 0]))
 
 
 def top_eigpair(matvec, n):

@@ -61,14 +61,39 @@ def escape_prob_exact(net, x):
 def _walk_step(net):
     """step(cur, u): the next vertices of walkers at rows cur for uniforms u in [0, 1).
 
-    One searchsorted in key = row + the CSR row's normalized cumulative weight (last
-    entry exactly 1); the clip to the row's last entry covers cur + u -> cur + 1.
+    Exact inverse-CDF sampling, row by row: the next vertex is the first CSR
+    slot of row cur whose normalized cumulative weight cum exceeds u (cum is
+    cumsum(w[:-1]) / sum(w) with its last entry exactly 1, so some slot does).
+    A guide table (Chen & Asau, 1974) gives a row of degree d the d + 1
+    buckets j = floor(u * d).  Every u that bucket j receives is at least
+    j / d - 2**-53, whatever the rounding of u * d, so the bucket's entry, a
+    slot at or before the first one with cum > j / d - 2**-50, never passes
+    the answer.  Forward passes over the walkers still short of it finish
+    the search, in O(1) expected steps per walker.
     """
+    deg = np.diff(net.indptr)
     rows = np.split(net.weights, net.indptr[1:-1])
-    cum = [i + np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for i, w in enumerate(rows)]
-    key = np.concatenate(cum)
-    nbr, last = net.indices, net.indptr[1:] - 1
-    return lambda cur, u: nbr[np.minimum(np.searchsorted(key, cur + u, side="right"), last[cur])]
+    cum = np.concatenate([np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for w in rows])
+    # row x's buckets start at first[x].  The search adds the row index to
+    # both sides, which rounds them alike (monotonically), so side="left"
+    # stops at or before the first slot with cum > t.
+    first = net.indptr[:-1] + np.arange(net.n)
+    row = np.repeat(np.arange(net.n), deg + 1)
+    t = (np.arange(row.size) - first[row]) / deg[row] - 2.0**-50
+    key = np.repeat(np.arange(net.n), deg) + cum
+    # t < 0 may stop on the row before
+    guide = np.maximum(np.searchsorted(key, row + t, side="left"), net.indptr[row])
+    nbr = net.indices
+
+    def step(cur, u):
+        pos = guide[first[cur] + (u * deg[cur]).astype(np.intp)]
+        ahead = np.flatnonzero(cum[pos] <= u)
+        while ahead.size:
+            pos[ahead] += 1
+            ahead = ahead[cum[pos[ahead]] <= u[ahead]]
+        return nbr[pos]
+
+    return step
 
 
 def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
@@ -88,6 +113,8 @@ def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     cur = np.full(samples, xi, dtype=np.intp)  # undecided walkers, in draw order
+    alive = np.ones(net.n, dtype=bool)  # a step to o or back to x decides the walker
+    alive[[oi, xi]] = False
     successes = 0
     steps = 0
     while cur.size:
@@ -96,7 +123,7 @@ def escape_prob_mc(net, x, samples, seed, max_steps=10**9):
             break
         cur = step(cur, rng.random(cur.size))
         successes += int(np.count_nonzero(cur == oi))
-        cur = cur[(cur != oi) & (cur != xi)]
+        cur = cur[alive[cur]]
 
     cap_hits = int(cur.size)
     decided = samples - cap_hits

@@ -130,6 +130,17 @@ def test_walk_command(capsys):
     assert abs(doc["mc_estimate"] - 0.5) <= 5 * doc["mc_stderr"]
 
 
+def test_walk_golden(capsys):
+    # recorded with the earlier sampler (one global searchsorted): every
+    # sampler must map the same Philox draws to the same neighbours
+    code, doc = run_json(
+        capsys, "walk", "--gen", "binary_tree:8", "--vertex", "300", "--samples", "100000",
+        "--seed", "42",
+    )
+    assert code == 0
+    assert doc["mc_estimate"] == 0.12441 and doc["cap_hits"] == 0
+
+
 def test_banach_command(capsys):
     code, doc = run_json(capsys, "banach", "--gen", "path:3", "--u", "kernel:1")
     assert code == 0
@@ -239,6 +250,18 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: Gram entry (7,7)") and len(err.splitlines()) == 1
+
+
+def test_pass_below_lower_bound_exits_3(capsys):
+    # one level F = X: its certificate at b = 5.9485 judged lambda_min = -1.2e-3
+    # psd, below the trace's own best lower bound 5.9485852
+    argv = ["mult", "--gen", "integer_segment:800", "--f", "kernel:5", "--bound", "5.9485",
+            "--exhaust", "800", "--format", "json"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: psd certificates pass at b = 5.9485")
+    assert len(err.splitlines()) == 1
 
 
 _MISSING = "/nonexistent-energynet-dir/missing.json"

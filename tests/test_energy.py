@@ -155,6 +155,19 @@ def test_gram_cross_check_catches_bad_solve(monkeypatch):
         en.gram_matrix(net, [3, 7, 9])
 
 
+def test_gram_records_the_solved_defect():
+    """V.defect is the relative Hermitian defect of the solved kernel rows,
+    measured before V is symmetrized, and V is their symmetric part."""
+    net = en.generate("integer_segment", 40)
+    xs = x_vertices(net)
+    idx = [net.index(x) for x in xs]
+    raw = en.energy.kernel_columns(net, idx)[idx]
+    defect = np.abs(raw - raw.T).max() / max(1.0, np.abs(raw).max())
+    gram = en.gram_matrix(net, xs)
+    assert defect > 0 and gram.V.defect == defect
+    assert np.array_equal(gram.V.a, (raw + raw.T) / 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 14), st.integers(0, 10**6), st.data())
 def test_gram_subset_and_sufficiency_match_full(n, seed, data):

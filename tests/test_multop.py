@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
-from energynet import multop
+from energynet import multop, numkernel
 from energynet.cli import main
 from energynet.errors import (
     InsufficientEnclosure,
@@ -208,6 +208,30 @@ def test_one_s_matrix_per_bound(monkeypatch):
             counts[levels].append(len(calls))
     assert counts[2] == counts[6]
     assert counts[2][:3] == [2, 2, 2]
+
+
+def test_witnesses_only_from_certify_bound(monkeypatch):
+    """A witness costs one full eigendecomposition per failing level, paid by
+    certify_bound alone: analyze and bisect_bound report verdicts only."""
+    net = en.generate("integer_segment", 40)
+    m = Multiplier.from_kernel(net, 5)
+    exhaustion = default_exhaustion(net)
+    b = 0.99 * restricted_norm(m, exhaustion[-1])
+    calls = []
+    sym_eig = numkernel.sym_eig
+    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
+    report = analyze(m, exhaustion, bound=b)
+    assert report.verdict.startswith("FAIL") and calls == []
+    assert all(v.witness is None for _, v in report.psd_certificates)
+    bisect_bound(m, exhaustion, tol=1e-3)
+    assert calls == []
+    verdicts = certify_bound(m, b, exhaustion)
+    failing = [v for v in verdicts if not v.is_psd]
+    assert 0 < len(failing) < len(verdicts)
+    assert len(calls) == len(failing) and all(v.witness is not None for v in failing)
+    assert [(v.is_psd, v.min_eigenvalue) for _, v in report.psd_certificates] == [
+        (v.is_psd, v.min_eigenvalue) for v in verdicts
+    ]
 
 
 @settings(max_examples=20, deadline=None)

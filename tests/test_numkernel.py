@@ -109,6 +109,13 @@ def test_psd_check_matches_brute_force(seed, n):
         assert quads.min() >= -tol * (np.linalg.norm(xi, axis=1).max() ** 2)
 
 
+def test_psd_verdict_is_psd_check_without_witness():
+    for a in (np.eye(3) + 0.5, np.array([[0.96, 1.96], [1.96, 3.92]])):
+        v, full = numkernel.psd_verdict(sym(a)), en.psd_check(sym(a))
+        assert v.witness is None and type(v.is_psd) is bool
+        assert (v.is_psd, v.min_eigenvalue, v.tol) == (full.is_psd, full.min_eigenvalue, full.tol)
+
+
 def test_psd_check_witness_only_on_failure(monkeypatch):
     calls = []
     sym_eig = numkernel.sym_eig

@@ -40,6 +40,13 @@ def _skewed_network():
     return net
 
 
+def _hub(leaves=600, seed=9):
+    # one vertex joined to many leaves, weights log-uniform over six decades;
+    # the origin is the heaviest leaf, so excursions pass the hub often
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, leaves)
+    return en.build_network([("h", k, float(c)) for k, c in enumerate(w)], origin=int(w.argmax()))
+
+
 def test_transition_prob(p3):
     assert transition_prob(p3, 0, 1) == pytest.approx(1.0)
     assert transition_prob(p3, 1, 0) == pytest.approx(0.5)
@@ -110,6 +117,36 @@ def test_walk_step_endpoints():
     last = net.indices[net.indptr[1:] - 1]
     np.testing.assert_array_equal(step(rows, np.zeros(net.n)), first)
     np.testing.assert_array_equal(step(rows, np.full(net.n, np.nextafter(1.0, 0.0))), last)
+
+
+@pytest.mark.parametrize("make", [_skewed_network, _hub, lambda: en.generate("binary_tree", 4)])
+def test_walk_step_is_row_inverse_cdf(make):
+    """On every row, step picks the first slot whose normalized cumulative
+    weight exceeds u, at u = 0, at each cumulative entry and one ulp either
+    side of it, at the largest double below 1, and at each guide bucket's
+    edge k / deg and the double below it."""
+    net = make()
+    step = _walk_step(net)
+    for i in range(net.n):
+        w = net.weights[net.indptr[i] : net.indptr[i + 1]]
+        cum = np.append(np.cumsum(w[:-1]) / w.sum(), 1.0)
+        edges = np.arange(w.size) / w.size
+        u = np.concatenate(
+            ([0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+             edges, np.nextafter(edges, -1.0))
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = net.indices[net.indptr[i] + np.searchsorted(cum, u, side="right")]
+        np.testing.assert_array_equal(step(np.full(u.size, i, dtype=np.intp), u), expected)
+
+
+def test_mc_matches_reference_loop_on_hub():
+    net = _hub()
+    assert np.diff(net.indptr).max() >= 500
+    escapes, returns, capped = _reference_walk(net, 3, 2000, 6, 10**9)
+    est = escape_prob_mc(net, 3, samples=2000, seed=6)
+    assert (est.cap_hits, capped) == (0, 0)
+    assert est.mc_estimate == escapes / (escapes + returns)
 
 
 def test_mc_matches_reference_loop():
