@@ -43,8 +43,11 @@ def _build_net(args):
 
 def _number(tok):
     """A finite number from a command-line token, JSON number or [re, im]."""
+    parts = tok if isinstance(tok, list) else [tok]
     try:
-        z = complex(*tok) if isinstance(tok, list) else complex(tok)
+        if any(isinstance(t, bool) for t in parts):  # JSON true is not the number 1
+            raise TypeError
+        z = complex(*parts)
     except (TypeError, ValueError):
         raise InvalidInput(f"{tok!r} is not a number") from None
     if not np.isfinite(z):

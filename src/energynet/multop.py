@@ -4,10 +4,9 @@ F_1 c ... c F_m (one Gram matrix over F_m and one triangular matrix for
 the whole trace), closed-form point-mass norms, rank-one operator
 identities, and truncation consistency checks.
 
-Operators on a finite network are represented, where matrices are needed,
-in the Dirac coordinate basis over X = G \\ {o}: a grounded u is exactly
-sum_x u(x) delta_x, so coefficient vectors are just values on X and the
-energy Gram matrix in that basis is the grounded Laplacian.
+Where matrices are needed, a grounded u is written in l2 coordinates as
+R u|X, with L_X = R^T R the network's grounded Cholesky factor: an isometry,
+under which energy adjoints are conjugate transposes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .energy import (
     _gram_and_columns,
     _grounded_cholesky,
     delta,
-    delta_gram,
     effective_resistance,
     energy_form,
     energy_kernel,
@@ -207,80 +205,55 @@ def _sufficiency_bound(m, R):
 
 
 # ---------------------------------------------------------------------------
-# matrix representations over the Dirac coordinate basis on X
+# matrix representations in the l2 coordinates of the grounded factor
 
-def _coeff(u):
-    return u.values[x_indices(u.net)]
-
-
-def _from_coeff(net, coeff):
-    vals = np.zeros(net.n, dtype=coeff.dtype)
-    vals[x_indices(net)] = coeff
-    return ground(net, vals)
+def _iso(net, vals):
+    """R u|X for L_X = R^T R: an isometry of the energy space onto l2, for
+    one grounded function or one per column of an n x k array."""
+    return _grounded_cholesky(net) @ vals[x_indices(net)]
 
 
-def _dirac_gram(net):
-    """Energy Gram matrix of the Dirac basis on X: the grounded Laplacian."""
-    return delta_gram(net, [net.vertices[i] for i in x_indices(net)]).a
+def _mult_matrix(net, f):
+    """M_f in l2 coordinates, R diag(f|X) R^{-1}; its energy adjoint is the
+    conjugate transpose."""
+    R = _grounded_cholesky(net)
+    # L_X^{-1} R^T = R^{-1}
+    return (R * f[x_indices(net)]) @ cho_solve(R, R.T)
 
 
-def _ketbra(net, a, b, L):
-    """Coefficient matrix of |a><b|: u maps to <b, u> a."""
-    return np.outer(_coeff(a), L @ np.conj(_coeff(b)))
+def _ket(a, b):
+    """|a><b| for l2 coordinate vectors a, b."""
+    return np.outer(a, np.conj(b))
 
 
-def _adjoint(net, A, L):
-    """Energy-space adjoint of the coefficient matrix A: L^{-1} A* L, L = L_X."""
-    return cho_solve(_grounded_cholesky(net), A.conj().T @ L)
-
-
-def _energy_norm(net, coeff, L):
-    return float(np.sqrt(max(np.real(np.conj(coeff) @ (L @ coeff)), 0.0)))
-
-
-def _default_samples(net):
-    """The kernel basis v_x, x in X (in vertex order), from one solve."""
-    K = kernel_columns(net, x_indices(net))
-    return [ground(net, K[:, j]) for j in range(K.shape[1])]
+def _worst(D, Y):
+    """max over the columns y of Y of ||D y|| / (1 + ||y||)."""
+    return float(np.max(np.linalg.norm(D @ Y, axis=0) / (1.0 + np.linalg.norm(Y, axis=0))))
 
 
 def rank_one_identities(net, x, y):
     """Check M_x = |delta_x><v_x| and the product relations
     M_x* M_y = <d_x, d_y> |v_x><v_y| and M_x M_y* = <v_x, v_y> |d_x><d_y|
-    against a numerically computed adjoint, on the kernel basis.  Returns
-    the maximum relative energy-norm discrepancy."""
+    on the kernel basis.  Returns the maximum relative energy-norm
+    discrepancy."""
     _require_in_X(net, x, y)
-    L = _dirac_gram(net)
-    kernels = _default_samples(net)
-    # v_x sits at x's position in X: its dense index, less one past the origin
-    vx, vy = (kernels[i - (i > net.origin_index)] for i in (net.index(x), net.index(y)))
+    xs = x_indices(net)
+    K = kernel_columns(net, xs)
+    vx, vy = (ground(net, K[:, xs.index(net.index(z))]) for z in (x, y))
     deltax, deltay = delta(net, x), delta(net, y)
+    Y = _iso(net, K)
+    kvx, kvy, kdx, kdy = (_iso(net, u.values) for u in (vx, vy, deltax, deltay))
 
-    Mx = np.diag(_coeff(deltax))
-    My = np.diag(_coeff(deltay))
-    Mx_star = _adjoint(net, Mx, L)
-    My_star = _adjoint(net, My, L)
-
-    dd = complex(energy_form(deltax, deltay))
-    vv = complex(energy_form(vx, vy))
+    Mx, My = _mult_matrix(net, deltax.values), _mult_matrix(net, deltay.values)
+    dd = energy_form(deltax, deltay)
+    vv = energy_form(vx, vy)
     pairs = [
-        (Mx, _ketbra(net, deltax, vx, L)),
-        (Mx_star, _ketbra(net, vx, deltax, L)),
-        (Mx_star @ My, dd * _ketbra(net, vx, vy, L)),
-        (Mx @ My_star, vv * _ketbra(net, deltax, deltay, L)),
+        (Mx, _ket(kdx, kvx)),
+        (Mx.conj().T, _ket(kvx, kdx)),
+        (Mx.conj().T @ My, dd * _ket(kvx, kvy)),
+        (Mx @ My.conj().T, vv * _ket(kdx, kdy)),
     ]
-    worst = 0.0
-    for lhs, rhs in pairs:
-        diff = lhs - rhs
-        for u in kernels:
-            c = _coeff(u)
-            r = _energy_norm(net, diff @ c, L) / (1.0 + _energy_norm(net, c, L))
-            worst = max(worst, r)
-    return worst
-
-
-def _op_energy_norm(A, L_half, L_half_inv):
-    return float(np.linalg.norm(L_half @ A @ L_half_inv, 2))
+    return max(_worst(lhs - rhs, Y) for lhs, rhs in pairs)
 
 
 def normalized_projections(net, x, y):
@@ -289,26 +262,15 @@ def normalized_projections(net, x, y):
     escape-probability scalings against M_x* M_x and M_x M_x*, and the four
     displayed product rules.  Returns the max operator-norm residual."""
     _require_in_X(net, x, y)
-    L = _dirac_gram(net)
-    w, q = np.linalg.eigh(L)
-    L_half = (q * np.sqrt(w)) @ q.T
-    L_half_inv = (q / np.sqrt(w)) @ q.T
-
-    def unit(vec):
-        return vec * (1.0 / np.sqrt(vec.energy))
-
-    vx, vy = energy_kernel(net, x), energy_kernel(net, y)
+    K = kernel_columns(net, [net.index(x), net.index(y)])
+    vx, vy = ground(net, K[:, 0]), ground(net, K[:, 1])
     dxv, dyv = delta(net, x), delta(net, y)
-    ux, uy = unit(vx), unit(vy)
-    dx, dy = unit(dxv), unit(dyv)
+    ux, uy, dx, dy = (u * (1.0 / np.sqrt(u.energy)) for u in (vx, vy, dxv, dyv))
+    kux, kuy, kdx, kdy = (_iso(net, u.values) for u in (ux, uy, dx, dy))
 
-    Ux = _ketbra(net, ux, ux, L)
-    Uy = _ketbra(net, uy, uy, L)
-    Dx = _ketbra(net, dx, dx, L)
-    Dy = _ketbra(net, dy, dy, L)
-
-    Mx = np.diag(_coeff(dxv))
-    Mx_star = _adjoint(net, Mx, L)
+    Ux, Uy = _ket(kux, kux), _ket(kuy, kuy)
+    Dx, Dy = _ket(kdx, kdx), _ket(kdy, kdy)
+    Mx = _mult_matrix(net, dxv.values)
 
     rx, ry = effective_resistance(net, x), effective_resistance(net, y)
     cx, cy = total_conductance(net, x), total_conductance(net, y)
@@ -316,26 +278,28 @@ def normalized_projections(net, x, y):
     residuals = [
         Ux @ Ux - Ux,
         Dx @ Dx - Dx,
-        Ux - p_esc * (Mx_star @ Mx),
-        Dx - p_esc * (Mx @ Mx_star),
-        Ux @ Uy - (complex(energy_form(vx, vy)) / np.sqrt(rx * ry)) * _ketbra(net, ux, uy, L),
-        Ux @ Dy - complex(energy_form(ux, dy)) * _ketbra(net, ux, dy, L),
-        Dx @ Uy - complex(energy_form(dx, uy)) * _ketbra(net, dx, uy, L),
-        Dx @ Dy
-        - (complex(energy_form(dxv, dyv)) / np.sqrt(cx * cy)) * _ketbra(net, dx, dy, L),
+        Ux - p_esc * (Mx.conj().T @ Mx),
+        Dx - p_esc * (Mx @ Mx.conj().T),
+        Ux @ Uy - (energy_form(vx, vy) / np.sqrt(rx * ry)) * _ket(kux, kuy),
+        Ux @ Dy - energy_form(ux, dy) * _ket(kux, kdy),
+        Dx @ Uy - energy_form(dx, uy) * _ket(kdx, kuy),
+        Dx @ Dy - (energy_form(dxv, dyv) / np.sqrt(cx * cy)) * _ket(kdx, kdy),
     ]
-    return max(_op_energy_norm(r, L_half, L_half_inv) for r in residuals)
+    return max(float(np.linalg.norm(r, 2)) for r in residuals)
 
 
 def truncation_consistency(m, F_n, F_m, samples=None):
-    """Verify P_n M_f P_n = P_n M_{f|F_m} P_n on sampled vectors, where P_n
-    projects onto span{v_x : x in F_n}.  F_m must contain F_n and enclose
-    the neighbors of supp(f) inside F_n."""
+    """Verify P_n M_f P_n = P_n M_{f|F_m} P_n on sampled vectors (the kernel
+    basis by default), where P_n projects onto span{v_x : x in F_n}.  F_m
+    must contain F_n and enclose the neighbors of supp(f) inside F_n."""
     net = m.net
+    if samples is not None:
+        samples = list(samples)
+        if any(u.net is not net for u in samples):
+            raise NetworkMismatch("multiplier and samples live on different networks")
     (F_n, F_m), order = _nested_order(net, [F_n, F_m])
     gram, K = _gram_and_columns(net, order)  # one solve; F_n's columns lead
     k = len(F_n)
-    K = K[x_indices(net), :k]
     outer = set(net.index(z) for z in F_m) | {net.origin_index}
     for z in F_n:
         zi = net.index(z)
@@ -344,27 +308,20 @@ def truncation_consistency(m, F_n, F_m, samples=None):
                 f"neighbors of {z!r} are not contained in F_m; enlarge the outer set"
             )
 
-    L = _dirac_gram(net)
     # V_{F_n} = U_k^T U_k on the leading block of the Gram factor, so
     # C = U_k^{-1} satisfies C^T V_{F_n} C = I: Gram-Schmidt in the V metric
     C = scipy.linalg.solve_triangular(gram.U[:k, :k], np.eye(k), check_finite=False)
-    B = K @ C  # orthonormal basis coefficients
-    P = B @ (B.conj().T @ L)
+    Q = _iso(net, K[:, :k]) @ C  # orthonormal columns
+    P = Q @ Q.conj().T
 
     chi = np.zeros(net.n)
     chi[[net.index(z) for z in F_m]] = 1.0
-    fm = Multiplier(net, m.f * chi)
-
-    samples = list(samples) if samples is not None else _default_samples(net)
-    worst = 0.0
-    for u in samples:
-        c = _coeff(u)
-        pu = _from_coeff(net, P @ c)
-        lhs = P @ _coeff(apply(m, pu))
-        rhs = P @ _coeff(apply(fm, pu))
-        r = _energy_norm(net, lhs - rhs, L) / (1.0 + _energy_norm(net, c, L))
-        worst = max(worst, r)
-    return worst
+    D = P @ (_mult_matrix(net, m.f) - _mult_matrix(net, m.f * chi)) @ P
+    if samples is None:
+        Y = _iso(net, kernel_columns(net, x_indices(net)))
+    else:
+        Y = _iso(net, np.column_stack([u.values for u in samples]))
+    return _worst(D, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,8 @@ def generate(family, size, conductance=1.0):
 
 
 def _coerce_id(v):
-    if isinstance(v, str) or isinstance(v, int):
+    # a JSON boolean equals and hashes like 0 or 1: not a vertex id
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
         return v
     if isinstance(v, float) and v.is_integer():
         return int(v)
@@ -239,11 +240,15 @@ def _load_json(path):
         raise ParseError(f"{path}: missing required key 'origin'")
     if "edges" not in doc:
         raise ParseError(f"{path}: missing required key 'edges'")
+    if not isinstance(doc["edges"], list):
+        raise ParseError(f"{path}: 'edges' must be a list")
     edges = []
     for k, e in enumerate(doc["edges"]):
         if not (isinstance(e, (list, tuple)) and len(e) == 3):
             raise ParseError(f"{path}: edges[{k}] must be [x, y, c]")
         try:
+            if isinstance(e[2], bool):
+                raise TypeError
             weight = float(e[2])
         except (TypeError, ValueError):
             raise ParseError(f"{path}: edges[{k}] weight {e[2]!r} is not a number") from None

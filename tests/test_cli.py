@@ -375,6 +375,41 @@ def test_non_finite_conductance_exits_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("edges", ["5", "null"])
+def test_edges_not_a_list_exits_2(tmp_path, capsys, edges):
+    path = tmp_path / "edges.json"
+    path.write_text(f'{{"origin": 0, "edges": {edges}}}')
+    assert main(["kernel", "--net", str(path), "--vertex", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: 'edges' must be a list\n"
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        # true would equal and hash like vertex 1
+        ("[[true, 2, 1.0], [1, 2, 1.0], [0, 1, 1.0]]", "error: vertex id True must be"),
+        ("[[0, 1, true], [1, 2, 1.0]]", "weight True is not a number"),
+    ],
+    ids=["vertex", "weight"],
+)
+def test_json_boolean_in_network_exits_2(tmp_path, capsys, edges, message):
+    path = tmp_path / "bool.json"
+    path.write_text(f'{{"origin": 0, "edges": {edges}}}')
+    assert main(["kernel", "--net", str(path), "--vertex", "2", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["true", "[true, 0]"])
+def test_json_boolean_multiplier_value_exits_2(tmp_path, capsys, value):
+    spec = tmp_path / "f.json"
+    spec.write_text(f'{{"f": {{"1": {value}}}}}')
+    assert main(["mult", "--gen", "path:3", "--f", f"file:{spec}", "--estimate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "is not a number" in err
+
+
 def test_grounded_laplacian_not_positive_definite_exits_2(tmp_path, capsys):
     # 1 + 1e-17 rounds to 1: the grounded Laplacian is singular in floating point
     path = tmp_path / "tiny.json"

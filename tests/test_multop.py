@@ -11,6 +11,7 @@ from energynet.errors import (
     InsufficientEnclosure,
     InvalidInput,
     InvariantViolation,
+    NetworkMismatch,
     OriginInF,
     UnknownVertex,
 )
@@ -680,6 +681,61 @@ def test_truncation_requires_containment(p3):
     m = Multiplier.delta(p3, 1)
     with pytest.raises(ValueError):
         truncation_consistency(m, [1, 2], [1])
+
+
+def test_truncation_rejects_samples_from_another_network():
+    m = Multiplier.delta(en.generate("integer_segment", 8), 3)
+    # path:9 has as many vertices as integer_segment:8, path:5 fewer
+    for other in (en.generate("path", 9), en.generate("path", 5)):
+        with pytest.raises(NetworkMismatch):
+            truncation_consistency(m, [1, 2], [1, 2, 3, 4], [en.energy_kernel(other, 2)])
+
+
+@pytest.mark.parametrize("check", ["rank_one", "projections", "truncation"])
+def test_checks_factor_once_and_skip_eigh(monkeypatch, check):
+    net = en.generate("integer_segment", 8)
+    m = Multiplier.delta(net, 3)  # built without a solve
+    calls = []
+    laplacian = en.Network.laplacian_matrix
+
+    def counted(self):
+        calls.append("laplacian")
+        return laplacian(self)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigendecomposition in a verification check")
+
+    monkeypatch.setattr(en.Network, "laplacian_matrix", counted)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    run = {
+        "rank_one": lambda: rank_one_identities(net, 2, 5),
+        "projections": lambda: normalized_projections(net, 2, 5),
+        "truncation": lambda: truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4]),
+    }[check]
+    assert run() <= 1e-9
+    assert calls == ["laplacian"]
+
+
+def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
+    # a check that only compared its own construction would stay at rounding level
+    net = random_network(10, 3)
+    xs = x_vertices(net)
+    x, y = xs[0], xs[-1]
+    assert rank_one_identities(net, x, y) <= 1e-12
+    assert normalized_projections(net, x, y) <= 1e-12
+    kernel_columns = en.energy.kernel_columns
+    row = net.index(xs[-2])
+
+    def perturbed(net, idx):
+        K = kernel_columns(net, idx)
+        K[row, 0] += 1e-6
+        return K
+
+    monkeypatch.setattr(multop, "kernel_columns", perturbed)
+    monkeypatch.setattr(en.energy, "kernel_columns", perturbed)
+    assert rank_one_identities(net, x, y) > 1e-7
+    assert normalized_projections(net, x, y) > 1e-7
 
 
 def test_default_exhaustion(test_net):
