@@ -21,23 +21,25 @@ from .network import _parse_vertex
 
 
 def _build_net(args):
-    if getattr(args, "gen", None) and getattr(args, "net", None):
+    gen, path, origin = (getattr(args, k, None) for k in ("gen", "net", "origin"))
+    if gen and path:
         raise EnergyNetError("use exactly one of --gen and --net")
-    if getattr(args, "gen", None):
-        family, _, size = args.gen.partition(":")
+    if gen:
+        if origin is not None:
+            raise InvalidInput("--origin is for CSV networks; a generated network has origin 0")
+        family, _, size = gen.partition(":")
         if not size:
-            raise EnergyNetError(f"generator spec {args.gen!r} needs a size, e.g. path:3")
+            raise EnergyNetError(f"generator spec {gen!r} needs a size, e.g. path:3")
         try:
             size = int(size)
         except ValueError:
             raise InvalidInput(f"generator size {size!r} is not an integer") from None
         return network.generate(family, size)
-    if getattr(args, "net", None):
-        origin = _parse_vertex(args.origin) if args.origin is not None else None
+    if path:
         try:
-            return network.load_network(args.net, origin=origin)
+            return network.load_network(path, origin=origin)
         except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidInput(f"cannot read network file {args.net!r}: {exc}") from None
+            raise InvalidInput(f"cannot read network file {path!r}: {exc}") from None
     raise EnergyNetError("a network source is required: --gen or --net")
 
 
@@ -172,16 +174,13 @@ def cmd_gram(args):
     doc = {
         "command": "gram",
         "F": [str(v) for v in gm.F],
-        "V": [[float(c) for c in row] for row in gm.V.a],
+        "V": gm.V.a.tolist(),
     }
     if args.sqrt:
         root = gm.sqrt().a
-        resid = float(np.abs(root @ root - gm.V.a).max())
-        doc["sqrt"] = [[float(c) for c in row] for row in root]
-        doc["sqrt_residual"] = resid
-    rows = [tuple(["x"] + [str(v) for v in gm.F])] + [
-        tuple([str(x)] + [f"{c!r}" for c in row]) for x, row in zip(gm.F, gm.V.a)
-    ]
+        doc["sqrt"] = root.tolist()
+        doc["sqrt_residual"] = float(np.abs(root @ root - gm.V.a).max())
+    rows = [["x", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["V"])]
     _emit(doc, args.format, csv_rows=rows)
     return 0
 

@@ -26,7 +26,7 @@ class OriginMissing(EnergyNetError):
 
 
 class UnknownVertex(EnergyNetError, KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 class InvalidSize(EnergyNetError):
@@ -43,7 +43,7 @@ class InvariantViolation(EnergyNetError, ArithmeticError):
 
 
 class ParseError(EnergyNetError):
-    """Malformed network or function file; message carries field context."""
+    """Malformed network file or vertex id; message carries field context."""
 
 
 class NetworkMismatch(EnergyNetError):

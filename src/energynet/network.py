@@ -214,20 +214,44 @@ def generate(family, size, conductance=1.0):
     return build_network(edges, origin=0)
 
 
-def _coerce_id(v):
-    # a JSON boolean equals and hashes like 0 or 1: not a vertex id
-    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
-        return v
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise ParseError(f"vertex id {v!r} must be a string or integer")
-
-
 def save_network(net, path):
     doc = {"origin": net.origin, "edges": [[x, y, w] for x, y, w in net.edges]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _parse_vertex(token):
+    """The one vertex-id rule, for file fields and command-line tokens: a
+    stripped string, as an int where it parses; an int; an integral float."""
+    if isinstance(token, str):
+        token = token.strip()
+        if not token:
+            raise ParseError("vertex id must not be empty")
+        try:
+            return int(token)
+        except ValueError:
+            return token
+    if isinstance(token, float) and token.is_integer():
+        return int(token)
+    # a JSON boolean equals and hashes like 0 or 1: not a vertex id
+    if isinstance(token, int) and not isinstance(token, bool):
+        return token
+    raise ParseError(f"vertex id {token!r} must be a string or integer")
+
+
+def _edge(where, row):
+    """(x, y, c) from one edge row of a JSON or CSV network file."""
+    if not (isinstance(row, (list, tuple)) and len(row) == 3):
+        raise ParseError(f"{where} must be [x, y, c], got {row!r}")
+    x, y, c = row
+    try:
+        if isinstance(c, bool):  # JSON true is not the weight 1
+            raise TypeError
+        weight = float(c)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} weight {c!r} is not a number") from None
+    return _parse_vertex(x), _parse_vertex(y), weight
 
 
 def _load_json(path):
@@ -242,49 +266,25 @@ def _load_json(path):
         raise ParseError(f"{path}: missing required key 'edges'")
     if not isinstance(doc["edges"], list):
         raise ParseError(f"{path}: 'edges' must be a list")
-    edges = []
-    for k, e in enumerate(doc["edges"]):
-        if not (isinstance(e, (list, tuple)) and len(e) == 3):
-            raise ParseError(f"{path}: edges[{k}] must be [x, y, c]")
-        try:
-            if isinstance(e[2], bool):
-                raise TypeError
-            weight = float(e[2])
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: edges[{k}] weight {e[2]!r} is not a number") from None
-        edges.append((_coerce_id(e[0]), _coerce_id(e[1]), weight))
-    return build_network(edges, origin=_coerce_id(doc["origin"]))
+    edges = [_edge(f"{path}: edges[{k}]", e) for k, e in enumerate(doc["edges"])]
+    return build_network(edges, origin=_parse_vertex(doc["origin"]))
 
 
 def _load_csv(path, origin):
     if origin is None:
         raise ParseError(f"{path}: CSV networks need the origin passed explicitly")
-    edges = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y", "c"]:
+        rows = csv.reader(fh)
+        if [f.strip() for f in next(rows, [])] != ["x", "y", "c"]:
             raise ParseError(f"{path}: expected CSV header 'x,y,c'")
-        for k, row in enumerate(reader, start=2):
-            try:
-                weight = float(row["c"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: line {k}: bad weight {row['c']!r}") from None
-            edges.append((_parse_vertex(row["x"]), _parse_vertex(row["y"]), weight))
-    return build_network(edges, origin=origin)
-
-
-def _parse_vertex(token):
-    token = token.strip() if isinstance(token, str) else token
-    if isinstance(token, str):
-        try:
-            return int(token)
-        except ValueError:
-            return token
-    return token
+        edges = [_edge(f"{path}: line {rows.line_num}", row) for row in rows if row]
+    return build_network(edges, origin=_parse_vertex(origin))
 
 
 def load_network(path, origin=None):
-    """Load a network from JSON (canonical) or CSV (header x,y,c + origin)."""
+    """Load a network from JSON (canonical, names its origin) or CSV (header x,y,c + origin)."""
     if str(path).endswith(".csv"):
         return _load_csv(path, origin)
+    if origin is not None:
+        raise ParseError(f"{path}: a JSON network names its own origin")
     return _load_json(path)

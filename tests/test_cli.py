@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import energynet as en
 from energynet.cli import main
 
+from conftest import random_network
+
 SCHEMA = json.loads(
     (Path(en.__file__).parent / "schemas" / "cli_output.schema.json").read_text()
 )
@@ -25,6 +28,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _main_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the token itself
+            code = exc.code
+    return code, err.getvalue()
 
 
 def run_json(capsys, *argv):
@@ -187,27 +200,37 @@ def test_error_exit_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gram", "--gen", "path:3", "--F", "1,1"],
-        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
-        ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "0"],
-        ["kernel", "--gen", "path:abc", "--vertex", "1"],
-        ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "a,b"],
-        ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "2,,3"],
-        ["mult", "--gen", "path:3", "--f", "const:abc"],
-        ["mult", "--gen", "path:3", "--f", "const:nan"],
-        ["mult", "--gen", "path:3", "--f", "file:/missing"],
-        ["banach", "--gen", "path:3", "--u", "const:x"],
-        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "nan"],
-        ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "inf"],
-    ],
-)
+_INVALID = [
+    ["gram", "--gen", "path:3", "--F", "1,1"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
+    ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "0"],
+    ["kernel", "--gen", "path:abc", "--vertex", "1"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "a,b"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "2,,3"],
+    ["mult", "--gen", "path:3", "--f", "const:abc"],
+    ["mult", "--gen", "path:3", "--f", "const:nan"],
+    ["mult", "--gen", "path:3", "--f", "file:/missing"],
+    ["banach", "--gen", "path:3", "--u", "const:x"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "nan"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", _INVALID)
 def test_invalid_input_exits_2(argv):
+    code, err = _main_code(argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_invalid_input_exits_2_as_module():
+    # the same contract through `python -m energynet.cli`, for one case
     env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-m", "energynet.cli", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "energynet.cli", *_INVALID[0]],
+        env=env, capture_output=True, text=True,
     )
     assert done.returncode == 2
     lines = done.stderr.splitlines()
@@ -308,16 +331,6 @@ _NETS = st.sampled_from(["path", "cycle", "integer_segment", "binary_tree"]).fla
 )
 
 
-def _main_code(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the token itself
-            code = exc.code
-    return code, err.getvalue()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_TEMPLATES), _NETS, st.data())
 def test_malformed_argv_exits_2(template, net, data):
@@ -342,6 +355,8 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,1,2"
     assert len(lines) == 3
+    for line in lines[1:]:
+        assert [float(cell) for cell in line.split(",")]  # plain numbers, not numpy reprs
 
 
 @pytest.mark.parametrize(
@@ -435,3 +450,73 @@ def test_pretty_format(capsys):
     code, out = run(capsys, "kernel", "--gen", "path:3", "--vertex", "1")
     assert code == 0
     assert "R: 1" in out
+
+
+def test_unknown_vertex_message_is_unquoted(capsys):
+    assert main(["kernel", "--gen", "path:3", "--vertex", "7"]) == 2
+    assert capsys.readouterr().err == "error: vertex 7 not in network\n"
+
+
+def test_json_digit_string_ids_are_addressable(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"origin": "0", "edges": [["0", "1", 1.0], ["1", "2", 1.0]]}')
+    code, doc = run_json(capsys, "kernel", "--net", str(path), "--vertex", "2")
+    assert code == 0
+    assert doc["R"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("source", ["gen", "json"])
+def test_origin_outside_csv_exits_2(tmp_path, capsys, source):
+    path = tmp_path / "p3.json"
+    en.save_network(en.generate("path", 3), path)
+    net_args = ["--gen", "path:3"] if source == "gen" else ["--net", str(path)]
+    assert main(["kernel", *net_args, "--origin", "2", "--vertex", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "origin" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("empty.csv", "x,y,c\n0,1,1.0\n1,,1.0\n", "vertex id must not be empty"),
+        ("blank.csv", "x,y,c\n0,1,1.0\n1, ,1.0\n", "vertex id must not be empty"),
+        ("empty.json", '{"origin": 0, "edges": [[0, 1, 1.0], [1, "", 1.0]]}',
+         "vertex id must not be empty"),
+        ("four.csv", "x,y,c\n0,1,1.0\n1,2,1.0,9\n", "line 3 must be [x, y, c]"),
+    ],
+    ids=["csv-empty-id", "csv-blank-id", "json-empty-id", "csv-four-fields"],
+)
+def test_malformed_file_row_exits_2(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    origin = ["--origin", "0"] if name.endswith(".csv") else []
+    assert main(["kernel", "--net", str(path), *origin, "--vertex", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+_LABELS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.text("abcdefghijklmnopqrstuvwxyzXYZ", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.lists(_LABELS, min_size=6, unique=True))
+def test_every_vertex_of_a_file_network_is_addressable(tmp_path_factory, n, seed, labels):
+    # ints and non-numeric strings: save_network and CSV both load them back as they were
+    base = random_network(n, seed)
+    name = dict(zip(range(n), labels))
+    net = en.build_network([(name[x], name[y], w) for x, y, w in base.edges], name[0])
+    tmp = tmp_path_factory.mktemp("nets")
+    json_path, csv_path = tmp / "net.json", tmp / "net.csv"
+    en.save_network(net, json_path)
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh).writerows([("x", "y", "c"), *net.edges])
+    assert en.load_network(json_path) == net == en.load_network(csv_path, origin=net.origin)
+    for source in (["--net", str(json_path)], ["--net", str(csv_path), f"--origin={net.origin}"]):
+        for v in net.vertices:
+            code, err = _main_code(["kernel", *source, f"--vertex={v}"])
+            assert code == 0, (source, v, err)

@@ -15,7 +15,7 @@ from energynet.errors import (
     UnknownVertex,
 )
 from energynet.multop import Multiplier
-from energynet.network import VertexFunction
+from energynet.network import VertexFunction, _parse_vertex
 
 from test_randwalk import _skewed_network
 
@@ -219,3 +219,48 @@ def test_load_csv(tmp_path):
     assert net == en.generate("path", 3)
     with pytest.raises(ParseError):
         en.load_network(f)  # origin flag required for CSV
+
+
+def test_load_csv_skips_blank_rows(tmp_path):
+    f = tmp_path / "net.csv"
+    f.write_text("x,y,c\n0,1,1.0\n\n1,2,1.0\n\n")
+    assert en.load_network(f, origin=0) == en.generate("path", 3)
+
+
+@pytest.mark.parametrize(
+    "token,vertex",
+    [(" 7 ", 7), ("a ", "a"), (7, 7), (7.0, 7), ("-3", -3)],
+)
+def test_parse_vertex_accepts(token, vertex):
+    assert _parse_vertex(token) == vertex and type(_parse_vertex(token)) is type(vertex)
+
+
+@pytest.mark.parametrize("token", ["", "  ", True, None, [1], 1.5, float("nan")])
+def test_parse_vertex_rejects(token):
+    with pytest.raises(ParseError, match="vertex id"):
+        _parse_vertex(token)
+
+
+def test_json_and_csv_read_ids_alike(tmp_path):
+    js = tmp_path / "net.json"
+    js.write_text(json.dumps({"origin": "0", "edges": [["0", "1", 1.0], [" 1", "a", 2.0]]}))
+    cs = tmp_path / "net.csv"
+    cs.write_text("x,y,c\n0,1,1.0\n 1,a,2.0\n")
+    net = en.load_network(js)
+    assert net.vertices == (0, 1, "a") and net.origin == 0
+    assert en.load_network(cs, origin="0") == net
+
+
+def test_json_rejects_an_origin_argument(tmp_path, p3):
+    path = tmp_path / "net.json"
+    en.save_network(p3, path)
+    with pytest.raises(ParseError, match="names its own origin"):
+        en.load_network(path, origin=2)
+
+
+@pytest.mark.parametrize("row", ["1,2,1.0,9", "1,2", "1"])
+def test_csv_rows_have_three_fields(tmp_path, row):
+    f = tmp_path / "net.csv"
+    f.write_text(f"x,y,c\n0,1,1.0\n{row}\n")
+    with pytest.raises(ParseError, match="line 3 must be"):
+        en.load_network(f, origin=0)
