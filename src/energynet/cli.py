@@ -171,11 +171,7 @@ def cmd_gram(args):
     net = _build_net(args)
     F = [_parse_vertex(t) for t in args.F.split(",")]
     gm = energy.gram_matrix(net, F)
-    doc = {
-        "command": "gram",
-        "F": [str(v) for v in gm.F],
-        "V": gm.V.a.tolist(),
-    }
+    doc = {"command": "gram", "F": [str(v) for v in gm.F], "V": gm.V.a.tolist()}
     if args.sqrt:
         root = gm.sqrt().a
         doc["sqrt"] = root.tolist()

@@ -215,6 +215,10 @@ def generate(family, size, conductance=1.0):
 
 
 def save_network(net, path):
+    """Write net as JSON; an id that would not load back as itself raises ParseError."""
+    for v in net.vertices:
+        if _parse_vertex(v) != v:  # ' a' and '01' would load as 'a' and 1
+            raise ParseError(f"vertex id {v!r} would load back as {_parse_vertex(v)!r}")
     doc = {"origin": net.origin, "edges": [[x, y, w] for x, y, w in net.edges]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -222,8 +226,7 @@ def save_network(net, path):
 
 
 def _parse_vertex(token):
-    """The one vertex-id rule, for file fields and command-line tokens: a
-    stripped string, as an int where it parses; an int; an integral float."""
+    """The one vertex-id rule: a stripped string, as an int where it parses; an integral number."""
     if isinstance(token, str):
         token = token.strip()
         if not token:
@@ -232,17 +235,15 @@ def _parse_vertex(token):
             return int(token)
         except ValueError:
             return token
-    if isinstance(token, float) and token.is_integer():
+    # not bool: a JSON boolean equals and hashes like 0 or 1, but is not a vertex id
+    if type(token) is int or isinstance(token, float) and token.is_integer():
         return int(token)
-    # a JSON boolean equals and hashes like 0 or 1: not a vertex id
-    if isinstance(token, int) and not isinstance(token, bool):
-        return token
     raise ParseError(f"vertex id {token!r} must be a string or integer")
 
 
 def _edge(where, row):
     """(x, y, c) from one edge row of a JSON or CSV network file."""
-    if not (isinstance(row, (list, tuple)) and len(row) == 3):
+    if not (isinstance(row, list) and len(row) == 3):
         raise ParseError(f"{where} must be [x, y, c], got {row!r}")
     x, y, c = row
     try:
@@ -251,7 +252,10 @@ def _edge(where, row):
         weight = float(c)
     except (TypeError, ValueError):
         raise ParseError(f"{where} weight {c!r} is not a number") from None
-    return _parse_vertex(x), _parse_vertex(y), weight
+    try:
+        return _parse_vertex(x), _parse_vertex(y), weight
+    except ParseError as exc:
+        raise ParseError(f"{where} {exc}") from None
 
 
 def _load_json(path):
@@ -260,10 +264,9 @@ def _load_json(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or "origin" not in doc:
-        raise ParseError(f"{path}: missing required key 'origin'")
-    if "edges" not in doc:
-        raise ParseError(f"{path}: missing required key 'edges'")
+    for key in ("origin", "edges"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ParseError(f"{path}: missing required key {key!r}")
     if not isinstance(doc["edges"], list):
         raise ParseError(f"{path}: 'edges' must be a list")
     edges = [_edge(f"{path}: edges[{k}]", e) for k, e in enumerate(doc["edges"])]

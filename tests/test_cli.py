@@ -305,7 +305,8 @@ _TEMPLATES = [
     ("banach --gen {net} --u kernel:1 --u2 {spec}", "spec"),
     ("banach --gen {net} --u kernel:1 --u2 delta:{vertex}", "vertex"),
     ("kernel --gen {family}:{gen_size} --vertex 1", "gen_size"),
-    ("kernel --net {file} --origin 0 --vertex 1", "file"),
+    ("kernel --net {file} --vertex 1", "file"),
+    ("kernel --net {csv_file} --origin 0 --vertex 1", "csv_file"),
 ]
 _VALID = {
     "vertex": "1", "vertices": "1", "number": "2.5", "spec": "kernel:1", "sizes": "1",
@@ -320,7 +321,8 @@ _BAD = {
     "count": ["abc", "nan", "inf", "", "1.5", "0", "-5"],
     "seed": ["abc", "nan", "inf", "", "1.5", "-1"],
     "gen_size": ["abc", "nan", "inf", "", "1.5", "0", "-1"],
-    "file": [_MISSING, _MISSING[:-4] + "csv", "/", sys.executable],
+    "file": [_MISSING, "/", sys.executable],
+    "csv_file": [_MISSING[:-4] + "csv"],
 }
 _NETS = st.sampled_from(["path", "cycle", "integer_segment", "binary_tree"]).flatmap(
     lambda family: st.tuples(
@@ -342,8 +344,11 @@ def test_malformed_argv_exits_2(template, net, data):
     def argv(**slots):
         return [part.format(**{**fill, **slots}) for part in text.split(" ")]
 
-    if slot != "file":
-        assert _main_code(argv())[0] in (0, 1)
+    if slot in ("file", "csv_file"):  # no valid value: each bad one must fail to read
+        code, err = _main_code(argv(**{slot: bad}))
+        assert code == 2 and err.startswith("error: cannot read network file"), err
+        return
+    assert _main_code(argv())[0] in (0, 1)
     code, err = _main_code(argv(**{slot: bad}))
     assert code == 2, (argv(**{slot: bad}), err)
     assert "Traceback" not in err
@@ -403,7 +408,7 @@ def test_edges_not_a_list_exits_2(tmp_path, capsys, edges):
     "edges,message",
     [
         # true would equal and hash like vertex 1
-        ("[[true, 2, 1.0], [1, 2, 1.0], [0, 1, 1.0]]", "error: vertex id True must be"),
+        ("[[true, 2, 1.0], [1, 2, 1.0], [0, 1, 1.0]]", "edges[0] vertex id True must be"),
         ("[[0, 1, true], [1, 2, 1.0]]", "weight True is not a number"),
     ],
     ids=["vertex", "weight"],
@@ -413,7 +418,8 @@ def test_json_boolean_in_network_exits_2(tmp_path, capsys, edges, message):
     path.write_text(f'{{"origin": 0, "edges": {edges}}}')
     assert main(["kernel", "--net", str(path), "--vertex", "2", "--format", "json"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and message in err and len(err.splitlines()) == 1
+    assert out == "" and err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["true", "[true, 0]"])
@@ -479,13 +485,16 @@ def test_origin_outside_csv_exits_2(tmp_path, capsys, source):
 @pytest.mark.parametrize(
     "name,text,message",
     [
-        ("empty.csv", "x,y,c\n0,1,1.0\n1,,1.0\n", "vertex id must not be empty"),
-        ("blank.csv", "x,y,c\n0,1,1.0\n1, ,1.0\n", "vertex id must not be empty"),
+        ("empty.csv", "x,y,c\n0,1,1.0\n1,,1.0\n", "line 3 vertex id must not be empty"),
+        ("blank.csv", "x,y,c\n0,1,1.0\n1, ,1.0\n", "line 3 vertex id must not be empty"),
         ("empty.json", '{"origin": 0, "edges": [[0, 1, 1.0], [1, "", 1.0]]}',
-         "vertex id must not be empty"),
+         "edges[1] vertex id must not be empty"),
         ("four.csv", "x,y,c\n0,1,1.0\n1,2,1.0,9\n", "line 3 must be [x, y, c]"),
+        ("two.csv", "x,y,c\n0,1,1.0\n1,2\n", "line 3 must be [x, y, c]"),
+        ("one.csv", "x,y,c\n0,1,1.0\n1\n", "line 3 must be [x, y, c]"),
     ],
-    ids=["csv-empty-id", "csv-blank-id", "json-empty-id", "csv-four-fields"],
+    ids=["csv-empty-id", "csv-blank-id", "json-empty-id", "csv-four-fields", "csv-two-fields",
+         "csv-one-field"],
 )
 def test_malformed_file_row_exits_2(tmp_path, capsys, name, text, message):
     path = tmp_path / name
