@@ -304,6 +304,9 @@ def main(argv=None):
     except EnergyNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a dense matrix too large for this machine
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, cho_solve, psd_check, psd_verdict, top_eigpair
+from .numkernel import SymMatrix, cho_solve, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -96,27 +96,25 @@ def _nested_levels(m, exhaustion=None):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
     a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
-    S = s_matrix(m, b, F_m) once and yields the psd verdict of each level's
-    leading block, a view of S; certify(b, witness=True) adds psd_check's
-    witness to each failing verdict, in F's order.  trace() returns
-    (F, rho_F) per level from T = U D* U^{-1}, where V = U^T U is the Gram
-    matrix's Cholesky factor and D = diag(f): T is upper triangular and the
-    pencil (P_F o V_F, V_F) on a leading k x k block is T_k^H T_k.  It runs
-    once and then releases U and T.  sufficiency() is sufficiency_bound(m),
-    with R(x) = V_xx read on F_m."""
+    S = s_matrix(m, b, F_m) once and yields psd_check's verdict on each
+    level's leading block, a view of S, failing ones with their witness in
+    F's order.  trace() returns (F, rho_F) per level from T = U D* U^{-1},
+    where V = U^T U is the Gram matrix's Cholesky factor and D = diag(f): T
+    is upper triangular and the pencil (P_F o V_F, V_F) on a leading k x k
+    block is T_k^H T_k.  It runs once and then releases U and T.
+    sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
     V = gram.V.a
     fv = np.array([m[x] for x in order])
     pos = {x: i for i, x in enumerate(order)}
 
-    def certify(b, witness=False):
+    def certify(b):
         S = _s(b, fv, V)
         for F in exhaustion:
             # a principal block of a Hermitian matrix is Hermitian: no re-check
-            block = SymMatrix(S.a[: len(F), : len(F)], S.defect)
-            v = psd_check(block) if witness else psd_verdict(block)
-            yield v if v.witness is None else replace(v, witness=v.witness[[pos[x] for x in F]])
+            v = psd_check(SymMatrix(S.a[: len(F), : len(F)], S.defect))
+            yield v if v.is_psd else replace(v, witness=v.witness[[pos[x] for x in F]])
 
     def sufficiency():
         R = np.full(m.net.n, np.nan)
@@ -154,9 +152,11 @@ def _nested_levels(m, exhaustion=None):
 
 def _s(b, fv, V):
     """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv and V."""
-    if not (np.isfinite(b) and b >= 0):
-        raise InvalidInput("b must be finite and nonnegative")
-    return SymMatrix.from_array((b**2 - np.outer(fv, np.conj(fv))) * V, tol=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (b * b - np.outer(fv, np.conj(fv))) * V
+    if not (b >= 0 and np.isfinite(S).all()):
+        raise InvalidInput(f"b must be finite and nonnegative with (b^2 - f f*) V finite: {b!r}")
+    return SymMatrix.from_array(S, tol=1e-9)
 
 
 def s_matrix(m, b, F):
@@ -167,11 +167,10 @@ def s_matrix(m, b, F):
 
 
 def certify_bound(m, b, exhaustion):
-    """psd-check s_f over a nested exhaustion, each level a leading block of
-    one S over the outer set.  All-psd certifies ||M_f|| <= b on the
-    truncations; a failure carries a rigorous witness for ||M_f|| > b, in
-    F's own order."""
-    return list(_nested_levels(m, exhaustion)[0](b, witness=True))
+    """analyze's psd certificates of s_f at b, without its guards: all-psd
+    certifies ||M_f|| <= b on the truncations; a failure carries a rigorous
+    witness for ||M_f|| > b, in F's own order."""
+    return list(_nested_levels(m, exhaustion)[0](b))
 
 
 def restricted_norm(m, F):
@@ -365,10 +364,9 @@ def default_exhaustion(net):
 def analyze(m, exhaustion=None, bound=None):
     """Assemble a MultiplierReport: per-F restricted-norm trace, the
     sufficiency upper bound, and psd certificates at the requested bound
-    (or at the best lower bound when estimating).  The certificates carry
-    no witness vectors; certify_bound gives them.  Certificates that all
-    pass at a b below the trace's best lower bound contradict each other
-    and raise InvariantViolation."""
+    (or at the best lower bound when estimating), failing ones with
+    witnesses.  InvariantViolation if they contradict: all pass below the
+    best lower bound, or an outer level passes after an inner one fails."""
     certify, trace, sufficiency = _nested_levels(m, exhaustion)
     lower, best_lower = [], 0.0
     for F, rho in trace():
@@ -385,7 +383,14 @@ def analyze(m, exhaustion=None, bound=None):
         )
     b = best_lower * (1 + 1e-9) + 1e-12 if bound is None else bound
     certs = [(b, v) for v in certify(b)]
-    ok = all(v.is_psd for _, v in certs)
+    psd = [v.is_psd for _, v in certs]
+    if psd != sorted(psd, reverse=True):
+        i = psd.index(False)
+        raise InvariantViolation(
+            f"psd certificates at b = {b!r} fail on |F| = {len(lower[i][0])} but pass "
+            f"on the larger |F| = {len(lower[psd.index(True, i)][0])}"
+        )
+    ok = all(psd)
     if ok and best_lower > b * (1 + 1e-9):
         raise InvariantViolation(
             f"psd certificates pass at b = {b!r}, below the lower bound {best_lower!r}"

@@ -4,15 +4,14 @@ eigenpair of a psd operator, psd certification and matrix square roots.
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
 computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
-matrix-vector product, `psd_verdict` solves for eigenvalues only, and
-`psd_check` adds the eigenvector solve for a witness only when the check
-fails.  Matrix arguments are `SymMatrix` only: Hermitian symmetry is
-checked once, by `SymMatrix.from_array`, where a matrix enters.
+matrix-vector product and `psd_check` a subset eigensolve for the smallest
+eigenpair.  Matrix arguments are `SymMatrix` only, checked Hermitian and
+finite once, by `SymMatrix.from_array`, where a matrix enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,11 +37,13 @@ class SymMatrix:
         arr = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite entries")
         scale = max(1.0, np.abs(arr).max()) if arr.size else 1.0
         defect = float(np.abs(arr - arr.conj().T).max() / scale)
         if defect > tol:
             raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-        herm = (arr + arr.conj().T) / 2
+        herm = arr / 2 + arr.conj().T / 2  # halves first: no overflow near the float maximum
         if np.iscomplexobj(herm) and not np.any(herm.imag):
             herm = herm.real
         herm.setflags(write=False)
@@ -54,17 +55,14 @@ class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
     tol: float
-    witness: np.ndarray | None = field(default=None, repr=False, compare=False)
+    witness: np.ndarray | None = field(repr=False, compare=False)
 
 
 def _fix_sign(v):
-    # first nonzero component made positive, for reproducible witnesses
-    nz = np.flatnonzero(np.abs(v) > 0)
-    if nz.size:
-        v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
-        if not np.iscomplexobj(v) or not np.any(v.imag):
-            v = v.real
-    return v
+    # the first nonzero entry of a nonzero v made positive, for reproducible witnesses
+    first = v[np.flatnonzero(v)[0]]
+    v = v * (np.conj(first) / abs(first))
+    return v if np.any(v.imag) else v.real
 
 
 def cholesky(A):
@@ -112,28 +110,21 @@ def default_psd_tol(A):
     return 1e-9 * max(1.0, norm_inf)
 
 
-def psd_verdict(A):
-    """The verdict of `psd_check` without its witness: psd iff lambda_min >=
-    -tol, from one eigenvalues-only solve and no eigenvector."""
-    tol = float(default_psd_tol(A))
-    try:
-        lam = float(np.linalg.eigvalsh(A.a)[0])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
-    return PsdVerdict(lam >= -tol, lam, tol)
-
-
 def psd_check(A):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol, with
     tol = default_psd_tol(A).
 
-    lambda_min comes from an eigenvalues-only solve.  Only a failing verdict
-    carries a witness: the eigenvector of the smallest eigenvalue, unit
-    length, sign fixed by its first nonzero component, from one full
-    eigendecomposition.  A passing verdict keeps no vector or matrix.
+    lambda_min and its eigenvector come from one subset eigensolve.  Only a
+    failing verdict carries that eigenvector, as its witness: unit length,
+    sign fixed by its first nonzero component.  A passing one keeps none.
     """
-    v = psd_verdict(A)
-    return v if v.is_psd else replace(v, witness=_fix_sign(sym_eig(A)[1][:, 0]))
+    tol = float(default_psd_tol(A))
+    try:
+        w, q = scipy.linalg.eigh(A.a, subset_by_index=[0, 0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+    ok = bool(w[0] >= -tol)
+    return PsdVerdict(ok, float(w[0]), tol, None if ok else _fix_sign(q[:, 0]))
 
 
 def top_eigpair(matvec, n):

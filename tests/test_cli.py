@@ -213,6 +213,9 @@ _INVALID = [
     ["banach", "--gen", "path:3", "--u", "const:x"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "nan"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "inf"],
+    # finite bounds whose certificate matrix b^2 V overflows
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "1e154"],
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "1e200"],
 ]
 
 
@@ -285,6 +288,39 @@ def test_pass_below_lower_bound_exits_3(capsys):
     assert out == ""
     assert err.startswith("internal error: psd certificates pass at b = 5.9485")
     assert len(err.splitlines()) == 1
+
+
+def test_contradictory_certificates_exit_3(capsys):
+    # the certificates at b = 5.94858 fail on |F| = 8..64 and pass on
+    # |F| = 128..800, though each inner S_F is a leading block of the outer ones
+    argv = ["mult", "--gen", "integer_segment:800", "--f", "kernel:5", "--bound", "5.94858",
+            "--format", "json"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: psd certificates at b = 5.94858 fail on |F| = 8")
+    assert len(err.splitlines()) == 1
+
+
+def test_wrong_pass_at_n2000_never_passes(capsys):
+    # b = 5.948 lies below the norm 5.9485852; at n = 2000 the one-level
+    # certificate's tolerance (2.1e-2) exceeds |lambda_min| = 8.1e-3
+    argv = ["mult", "--gen", "integer_segment:2000", "--f", "kernel:5", "--bound", "5.948",
+            "--exhaust", "2000"]
+    assert main(argv) != 0
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def too_large(self):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(en.Network, "laplacian_matrix", too_large)
+    assert main(["kernel", "--gen", "path:5", "--vertex", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array "
+                                "with shape (100000, 100000)"]
 
 
 _MISSING = "/nonexistent-energynet-dir/missing.json"

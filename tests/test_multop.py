@@ -91,7 +91,7 @@ def test_s_matrix_hand_values(p3):
 
 def test_s_matrix_rejects_bad_input(p3):
     m = Multiplier.delta(p3, 1)
-    for b in (-1.0, np.nan, np.inf):
+    for b in (-1.0, np.nan, np.inf, 1e155, 1e200):
         with pytest.raises(InvalidInput):
             s_matrix(m, b, [1])
         with pytest.raises(InvalidInput):
@@ -211,28 +211,41 @@ def test_one_s_matrix_per_bound(monkeypatch):
     assert counts[2][:3] == [2, 2, 2]
 
 
-def test_witnesses_only_from_certify_bound(monkeypatch):
-    """A witness costs one full eigendecomposition per failing level, paid by
-    certify_bound alone: analyze and bisect_bound report verdicts only."""
+def test_witnesses_from_one_subset_eigensolve(monkeypatch):
+    """analyze, bisect_bound and certify_bound read their verdicts from one
+    subset eigensolve per level and probe, and no full eigendecomposition:
+    every failing certificate carries its witness, a negative direction of
+    S_F, and analyze's witnesses are certify_bound's."""
     net = en.generate("integer_segment", 40)
     m = Multiplier.from_kernel(net, 5)
     exhaustion = default_exhaustion(net)
     b = 0.99 * restricted_norm(m, exhaustion[-1])
-    calls = []
-    sym_eig = numkernel.sym_eig
-    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
+    solves, probes = [], []
+    eigh, s = scipy.linalg.eigh, multop._s
+    monkeypatch.setattr(
+        scipy.linalg, "eigh", lambda a, **kw: solves.append(kw["subset_by_index"]) or eigh(a, **kw)
+    )
+    monkeypatch.setattr(multop, "_s", lambda *args: probes.append(1) or s(*args))
+    monkeypatch.setattr(numkernel, "sym_eig", lambda A: pytest.fail("sym_eig called"))
     report = analyze(m, exhaustion, bound=b)
-    assert report.verdict.startswith("FAIL") and calls == []
-    assert all(v.witness is None for _, v in report.psd_certificates)
-    bisect_bound(m, exhaustion, tol=1e-3)
-    assert calls == []
+    assert report.verdict.startswith("FAIL")
+    assert solves == [[0, 0]] * len(exhaustion) and len(probes) == 1
     verdicts = certify_bound(m, b, exhaustion)
-    failing = [v for v in verdicts if not v.is_psd]
+    assert solves == [[0, 0]] * 2 * len(exhaustion) and len(probes) == 2
+    failing = [(F, v) for F, v in zip(exhaustion, verdicts) if not v.is_psd]
     assert 0 < len(failing) < len(verdicts)
-    assert len(calls) == len(failing) and all(v.witness is not None for v in failing)
-    assert [(v.is_psd, v.min_eigenvalue) for _, v in report.psd_certificates] == [
-        (v.is_psd, v.min_eigenvalue) for v in verdicts
-    ]
+    for (F, v), (_, w) in zip(zip(exhaustion, verdicts), report.psd_certificates):
+        assert (w.is_psd, w.min_eigenvalue) == (v.is_psd, v.min_eigenvalue)
+        assert (v.witness is None) == v.is_psd and (w.witness is None) == w.is_psd
+        if not v.is_psd:
+            assert np.array_equal(w.witness, v.witness)
+            assert np.real(np.conj(v.witness) @ s_matrix(m, b, F).a @ v.witness) < 0
+    solves.clear()
+    probes.clear()
+    bisect_bound(m, exhaustion, tol=1e-3)
+    # a probe stops at its first failing level
+    assert set(map(tuple, solves)) == {(0, 0)}
+    assert len(probes) <= len(solves) <= len(probes) * len(exhaustion)
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,6 +261,26 @@ def test_failing_witness_in_level_order(seed):
         if not v.is_psd:
             xi = v.witness
             assert np.real(np.conj(xi) @ s_matrix(m, b, F).a @ xi) < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.sampled_from([-1.0, 1.0]), st.booleans())
+def test_analyze_certificates_never_contradict(seed, j, sign, complex_):
+    """At b = rho (1 +- 10^-j), at the edge of the certificates' resolution,
+    analyze either raises InvariantViolation or reports what a psd matrix
+    allows: no level passes after an inner level failed, and no PASS below
+    the trace's own lower bound."""
+    rng = np.random.default_rng(seed)
+    net = random_network(int(rng.integers(2, 30)), seed=seed)
+    m = Multiplier(net, rng.normal(size=net.n) + (1j * rng.normal(size=net.n) if complex_ else 0))
+    b = restricted_norm(m, x_vertices(net)) * (1 + sign * 10.0**-j)
+    try:
+        rep = analyze(m, bound=b)
+    except InvariantViolation:
+        return
+    psd = [v.is_psd for _, v in rep.psd_certificates]
+    assert psd == sorted(psd, reverse=True)
+    assert not (rep.verdict.startswith("PASS") and b < rep.best_lower * (1 - 1e-9))
 
 
 @pytest.mark.parametrize("family, size, x", [("integer_segment", 40, 7), ("binary_tree", 5, 9)])

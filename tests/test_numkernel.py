@@ -8,7 +8,6 @@ from energynet import numkernel
 from energynet.errors import NotPositiveDefinite, NotPsd
 from energynet.numkernel import (
     SymMatrix,
-    _fix_sign,
     cho_solve,
     cholesky,
     default_psd_tol,
@@ -109,26 +108,29 @@ def test_psd_check_matches_brute_force(seed, n):
         assert quads.min() >= -tol * (np.linalg.norm(xi, axis=1).max() ** 2)
 
 
-def test_psd_verdict_is_psd_check_without_witness():
-    for a in (np.eye(3) + 0.5, np.array([[0.96, 1.96], [1.96, 3.92]])):
-        v, full = numkernel.psd_verdict(sym(a)), en.psd_check(sym(a))
-        assert v.witness is None and type(v.is_psd) is bool
-        assert (v.is_psd, v.min_eigenvalue, v.tol) == (full.is_psd, full.min_eigenvalue, full.tol)
-
-
 def test_psd_check_witness_only_on_failure(monkeypatch):
-    calls = []
-    sym_eig = numkernel.sym_eig
-    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
-    # a passing verdict costs eigenvalues only and holds no vector or matrix
+    # one subset eigensolve gives lambda_min and its eigenvector: no full basis
+    monkeypatch.setattr(numkernel, "sym_eig", lambda A: pytest.fail("sym_eig called"))
+    # a passing verdict holds no vector or matrix
     ok = en.psd_check(sym(np.eye(40) + 0.5))
-    assert ok.is_psd and ok.witness is None and calls == []
+    assert ok.is_psd and ok.witness is None
     assert not any(isinstance(v, (np.ndarray, numkernel.SymMatrix)) for v in vars(ok).values())
-    # a failing one carries the witness of a full eigendecomposition
-    a = np.array([[0.96, 1.96], [1.96, 3.92]])
-    v = en.psd_check(sym(a))
-    assert not v.is_psd and calls == [1]
-    assert np.array_equal(v.witness, _fix_sign(np.linalg.eigh(a)[1][:, 0]))
+    # a failing one carries a unit eigenvector of lambda_min, its first nonzero
+    # entry real and positive
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    for a in ([[0.96, 1.96], [1.96, 3.92]], -np.eye(3), g.real + g.real.T, g + g.conj().T):
+        A = SymMatrix.from_array(np.asarray(a))
+        v = en.psd_check(A)
+        assert not v.is_psd
+        xi = v.witness
+        assert np.iscomplexobj(xi) == np.iscomplexobj(A.a)
+        assert np.linalg.norm(xi) == pytest.approx(1.0, rel=1e-12)
+        quad = np.real(np.conj(xi) @ A.a @ xi)
+        assert quad == pytest.approx(v.min_eigenvalue, rel=1e-9)
+        assert v.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(A.a)[0], rel=1e-9)
+        first = xi[np.flatnonzero(xi)[0]]
+        assert first.real > 0 and abs(first.imag) <= 1e-15 * abs(first)
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,3 +205,11 @@ def test_sqrtm_psd_roundtrip(seed, n):
 def test_symmatrix_rejects_nonhermitian():
     with pytest.raises(ValueError):
         SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf)])
+def test_symmatrix_rejects_non_finite(bad):
+    # a NaN defect compares False against the tolerance, so finiteness is its own check
+    for arr in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymMatrix.from_array(np.array(arr))
