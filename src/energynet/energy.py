@@ -10,9 +10,10 @@ values (`np.array_equal`), not by `==`, which is identity.
 Cost model: each network factors its grounded Laplacian L_X once (a dense
 Cholesky, built on first use), and every kernel query is a solve against
 that factor.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram matrix
-over F costs |F| solves plus a vectorized reproducing check over the edges,
-and one Cholesky factor of V_F, which its users read rather than refactor;
-nothing else is cached, in particular no kernel vector per vertex.
+over F costs |F| solves, a reproducing check whose pairings <v_x, v_y> come
+from one symmetric rank-|F| update over the edges, and one Cholesky factor
+of V_F, which its users read rather than refactor; nothing else is cached,
+in particular no kernel vector per vertex.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .errors import (
     InvalidInput,
@@ -58,13 +60,10 @@ def _same_net(u, v):
 
 
 def _edge_energy(net, uvals, vvals):
-    """Sum over edges of c conj(du) dv.  On n x k column blocks, the k x k
-    matrix of pairings between the columns: D(u)* diag(c) D(v)."""
+    """Sum over edges of c conj(du) dv."""
     du = np.conj(uvals[net.edge_i] - uvals[net.edge_j])
     dv = vvals[net.edge_i] - vvals[net.edge_j]
-    if dv.ndim == 1:
-        return np.sum(net.edge_w * du * dv)
-    return du.T @ (net.edge_w[:, None] * dv)
+    return np.sum(net.edge_w * du * dv)
 
 
 def ground(net, values):
@@ -173,17 +172,37 @@ def _gram_and_columns(net, F):
         raise OriginInF("the origin cannot appear in F")
     K = kernel_columns(net, idx)
     V = K[idx]
-    form = np.real(_edge_energy(net, K, K))
-    bad = np.triu(np.abs(form - V) > 1e-9 * np.maximum(1.0, np.abs(form)))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    bad = _first_mismatch(net, K, V)
+    if bad:
+        i, j, form = bad
         raise InvariantViolation(
-            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form[i, j]!r} "
+            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form!r} "
             f"disagrees with kernel value {V[i, j]!r}"
         )
     V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
     # factored here, so positive definiteness is an invariant of the type
     return GramMatrix(F, V, cholesky(V)), K
+
+
+def _first_mismatch(net, K, V):
+    """The first (i, j, form_ij), i <= j, where the energy pairing
+    form_ij = <v_i, v_j> of the real kernel columns K differs from the kernel
+    value V_ij by more than 1e-9 max(1, |form_ij|); None if none does.  The
+    pairings are D^T D, D the conductance-scaled edge differences of K, from
+    one rank-k update (BLAS syrk) that fills the upper triangle only; the
+    comparison runs in place, and its arrays die here."""
+    D = K[net.edge_i]
+    D -= K[net.edge_j]
+    D *= np.sqrt(net.edge_w)[:, None]
+    form = dsyrk(1.0, D.T)  # D.T is Fortran-ordered: no copy
+    del D
+    err = form - V
+    np.abs(err, out=err)
+    tol = np.abs(form)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= 1e-9
+    bad = np.argwhere(np.triu(err > tol))
+    return (*bad[0], form[tuple(bad[0])]) if bad.size else None
 
 
 def delta_gram(net, F):

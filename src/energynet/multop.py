@@ -1,7 +1,7 @@
 """Multiplication operators on the energy space: pointwise action, adjoints,
 restricted norms and psd boundedness certificates over a nested exhaustion
-F_1 c ... c F_m (one Gram matrix over F_m and one triangular matrix for
-the whole trace), closed-form point-mass norms, rank-one operator
+F_1 c ... c F_m (one Gram matrix over F_m and its Cholesky factor for the
+whole trace), closed-form point-mass norms, rank-one operator
 identities, and truncation consistency checks.
 
 Where matrices are needed, a grounded u is written in l2 coordinates as
@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrmv
 
 from .energy import (
     _gram_and_columns,
@@ -98,10 +99,12 @@ def _nested_levels(m, exhaustion=None):
     a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
     S = s_matrix(m, b, F_m) once and yields psd_check's verdict on each
     level's leading block, a view of S, failing ones with their witness in
-    F's order.  trace() returns (F, rho_F) per level from T = U D* U^{-1},
-    where V = U^T U is the Gram matrix's Cholesky factor and D = diag(f): T
-    is upper triangular and the pencil (P_F o V_F, V_F) on a leading k x k
-    block is T_k^H T_k.  It runs once and then releases U and T.
+    F's order.  trace() returns (F, rho_F) per level, rho_F = sigma_max(T_k)
+    for T = U D* U^{-1}, where V = U^T U is the Gram matrix's Cholesky
+    factor and D = diag(f): T is upper triangular and the pencil
+    (P_F o V_F, V_F) on a leading k x k block is T_k^H T_k.  T is never
+    formed: each level applies T_k^H T_k to vectors through a copy of the
+    leading block U_k.  It runs once and then releases U.
     sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
@@ -124,38 +127,57 @@ def _nested_levels(m, exhaustion=None):
     def trace():
         nonlocal gram
         U, gram = gram.U, None
-        # W = T^T = U^{-T} (D* U^T), solved in place of its right-hand side
-        W = U.T * np.conj(fv)[:, None]
-        W = scipy.linalg.solve_triangular(U, W, trans="T", overwrite_b=True, check_finite=False)
+        # the trace of g = f / s, with s the power of two at or just below
+        # max|f| over F_m (an exact division): |g| < 2 keeps T_k^H T_k in
+        # range for any finite f, and rho_F(f) = s rho_F(g)
+        amax = np.abs(fv).max()
+        s = float(np.ldexp(1.0, np.frexp(amax)[1] - 1)) if amax else 1.0
+        g = fv / s
         out = []
         for F in exhaustion:
             k = len(F)
-            Wk = W[:k, :k]
-            # the top eigenpair of T_k^H T_k = conj(W_k) W_k^T, from products
-            # with the view W_k alone
-            lam, q = top_eigpair(lambda x: np.conj(Wk @ np.conj(Wk.T @ x)), k)
-            xi = scipy.linalg.solve_triangular(U[:k, :k], q, check_finite=False)
+            Uk, gk = np.asfortranarray(U[:k, :k]), g[:k]
+            solve = _by_parts(lambda y: scipy.linalg.solve_triangular(Uk, y, check_finite=False))
+            solve_t = _by_parts(
+                lambda y: scipy.linalg.solve_triangular(Uk, y, trans="T", check_finite=False)
+            )
+            mul = _by_parts(lambda y: dtrmv(Uk, y))
+            mul_t = _by_parts(lambda y: dtrmv(Uk, y, trans=1))
+            # the top eigenpair of T_k^H T_k, from T_k = U_k D_k* U_k^{-1} and
+            # T_k^H = U_k^{-T} D_k U_k^T applied to vectors: T_k is never formed
+            lam, q = top_eigpair(lambda x: solve_t(gk * mul_t(mul(np.conj(gk) * solve(x)))), k)
+            xi = solve(q)
             xi /= np.linalg.norm(xi)
-            fk, Vk, d = fv[:k], V[:k, :k], np.diagonal(V)[:k]
-            resid = np.linalg.norm(fk * (Vk @ (np.conj(fk) * xi)) - lam * (Vk @ xi))
+            Vk, d = V[:k, :k], np.diagonal(V)[:k]
+            resid = np.linalg.norm(gk * (Vk @ (np.conj(gk) * xi)) - lam * (Vk @ xi))
             # diagonal entries of psd matrices bound their spectral norms below
-            scale = np.max(np.abs(fk) ** 2 * d) + abs(lam) * d.max()
+            scale = np.max(np.abs(gk) ** 2 * d) + abs(lam) * d.max()
             if resid > 1e-8 * max(scale, 1e-300):
                 raise InvariantViolation(
                     f"pencil residual {resid:.3e} exceeds tolerance at |F| = {k}"
                 )
-            out.append((F, float(np.sqrt(max(lam, 0.0)))))
+            out.append((F, s * float(np.sqrt(max(lam, 0.0)))))
         return out
 
     return certify, trace, sufficiency
 
 
+def _by_parts(op):
+    """A real linear map op, extended to complex vectors as two real calls:
+    no complex copy of its real matrix."""
+    return lambda y: op(y.real) + 1j * op(y.imag) if np.iscomplexobj(y) else op(y)
+
+
 def _s(b, fv, V):
     """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv and V."""
+    if not (b >= 0 and np.isfinite(b)):
+        raise InvalidInput(f"b must be finite and nonnegative: {float(b)!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         S = (b * b - np.outer(fv, np.conj(fv))) * V
-    if not (b >= 0 and np.isfinite(S).all()):
-        raise InvalidInput(f"b must be finite and nonnegative with (b^2 - f f*) V finite: {b!r}")
+    if not np.isfinite(S).all():
+        raise InvalidInput(
+            f"the certificate matrix (b^2 - f f*) V overflows at the finite b = {float(b)!r}"
+        )
     return SymMatrix.from_array(S, tol=1e-9)
 
 

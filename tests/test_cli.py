@@ -216,6 +216,10 @@ _INVALID = [
     # finite bounds whose certificate matrix b^2 V overflows
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "1e154"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "1e200"],
+    # multipliers whose |f|^2 V overflows: the trace runs on f scaled into
+    # range, and the certificate matrix reports the overflow
+    ["mult", "--gen", "path:3", "--f", "const:1e200", "--estimate"],
+    ["mult", "--gen", "path:3", "--f", "const:1e160", "--bound", "1"],
 ]
 
 

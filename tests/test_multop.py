@@ -353,6 +353,55 @@ def test_const_trace_is_modulus(c):
         assert rho == pytest.approx(abs(c), rel=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(-150, 150), st.sampled_from([1, -1, 1j]))
+def test_trace_is_scale_free(seed, j, unit):
+    """rho_F(c f) = |c| rho_F(f) for c = unit * 10^j, |j| <= 150: the trace
+    runs on f scaled into range, so |c f|^2 V never overflows or underflows."""
+    rng = np.random.default_rng(seed)
+    net = random_network(int(rng.integers(3, 12)), seed=seed % 50)
+    f = rng.normal(size=net.n) + 1j * rng.normal(size=net.n) * rng.integers(0, 2)
+    c = unit * 10.0**j
+    xs = x_vertices(net)
+    F = [xs[i] for i in rng.permutation(len(xs))[: rng.integers(1, len(xs) + 1)]]
+    rho = restricted_norm(Multiplier(net, f), F)
+    assert restricted_norm(Multiplier(net, c * f), F) == pytest.approx(abs(c) * rho, rel=1e-13)
+
+
+@pytest.mark.parametrize("f", ["kernel", "complex"])
+def test_trace_solves_only_vectors(monkeypatch, f):
+    # T_k is applied through the Gram factor, never formed: every triangular
+    # solve of the trace has a 1-D right-hand side
+    net = en.generate("integer_segment", 40)
+    m = Multiplier.from_kernel(net, 5)
+    if f == "complex":
+        m = Multiplier(net, m.f * (1 - 2j))
+    shapes = []
+    solve_triangular = scipy.linalg.solve_triangular
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return solve_triangular(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", spy)
+    rep = analyze(m)
+    assert rep.best_lower == pytest.approx(5.94858521 * (1 if f == "kernel" else np.sqrt(5)),
+                                           rel=1e-8)
+    assert shapes and all(len(shape) == 1 for shape in shapes)
+
+
+def test_s_matrix_names_bad_b_or_overflow(p3):
+    m = Multiplier.delta(p3, 1)
+    for b in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="b must be finite and nonnegative"):
+            s_matrix(m, b, [1])
+    # b^2 V overflows at a finite b, and so does f f* V at b = 1
+    with pytest.raises(InvalidInput, match=r"overflows at the finite b = 1e\+154"):
+        s_matrix(m, 1e154, [1, 2])
+    with pytest.raises(InvalidInput, match="overflows at the finite b = 1.0"):
+        s_matrix(Multiplier.constant(p3, 1e160), 1.0, [1, 2])
+
+
 def test_pencil_residual_check(monkeypatch, capsys):
     top_eigpair = multop.top_eigpair
 
@@ -769,6 +818,32 @@ def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
     monkeypatch.setattr(en.energy, "kernel_columns", perturbed)
     assert rank_one_identities(net, x, y) > 1e-7
     assert normalized_projections(net, x, y) > 1e-7
+
+
+def test_gram_cross_check_sees_a_perturbed_kernel_solve(monkeypatch, capsys):
+    # v_a perturbed by 1e-6 at b shifts <v_a, v_b> by 1e-6 but leaves the
+    # kernel value v_b(a) alone: the cross-check names the pair (a, b)
+    kernel_columns = en.energy.kernel_columns
+
+    def perturbed(net, idx):
+        K = kernel_columns(net, idx)
+        if len(idx) > 1:
+            K[idx[1], 0] += 1e-6
+        return K
+
+    monkeypatch.setattr(en.energy, "kernel_columns", perturbed)
+    net = random_network(10, 3)
+    a, b, c = x_vertices(net)[2:5]
+    with pytest.raises(InvariantViolation, match=rf"Gram entry \({a!r},{b!r}\)"):
+        en.gram_matrix(net, [a, b, c])
+    for argv, pair in [
+        (["gram", "--gen", "integer_segment:12", "--F", "3,7,9"], "(3,7)"),
+        (["mult", "--gen", "integer_segment:12", "--f", "delta:3", "--estimate"], "(1,2)"),
+    ]:
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"internal error: Gram entry {pair}") and len(err.splitlines()) == 1
 
 
 def test_default_exhaustion(test_net):

@@ -47,6 +47,21 @@ def _hub(leaves=600, seed=9):
     return en.build_network([("h", k, float(c)) for k, c in enumerate(w)], origin=int(w.argmax()))
 
 
+def _spread_network(n=200, seed=11):
+    # extra edges favour low ids, so degrees take many distinct values;
+    # weights log-uniform over twelve decades
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    for _ in range(4 * n):
+        a, b = int(n * rng.random() ** 3), int(rng.integers(0, n))
+        if a != b and (b, a) not in pairs:
+            pairs.add((a, b))
+    w = 10.0 ** rng.uniform(-6.0, 6.0, len(pairs))
+    net = en.build_network([(a, b, float(c)) for (a, b), c in zip(sorted(pairs), w)], origin=0)
+    assert np.unique(np.diff(net.indptr)).size >= 20
+    return net
+
+
 def test_transition_prob(p3):
     assert transition_prob(p3, 0, 1) == pytest.approx(1.0)
     assert transition_prob(p3, 1, 0) == pytest.approx(0.5)
@@ -119,7 +134,9 @@ def test_walk_step_endpoints():
     np.testing.assert_array_equal(step(rows, np.full(net.n, np.nextafter(1.0, 0.0))), last)
 
 
-@pytest.mark.parametrize("make", [_skewed_network, _hub, lambda: en.generate("binary_tree", 4)])
+@pytest.mark.parametrize(
+    "make", [_skewed_network, _hub, _spread_network, lambda: en.generate("binary_tree", 4)]
+)
 def test_walk_step_is_row_inverse_cdf(make):
     """On every row, step picks the first slot whose normalized cumulative
     weight exceeds u, at u = 0, at each cumulative entry and one ulp either
