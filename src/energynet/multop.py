@@ -128,9 +128,10 @@ def _nested_levels(m, exhaustion=None):
         nonlocal gram
         U, gram = gram.U, None
         # the trace of g = f / s, with s the power of two at or just below
-        # max|f| over F_m (an exact division): |g| < 2 keeps T_k^H T_k in
-        # range for any finite f, and rho_F(f) = s rho_F(g)
-        amax = np.abs(fv).max()
+        # max(|Re f|, |Im f|) over F_m (an exact division, and finite where
+        # |f| would overflow): |g| < 2 sqrt(2) keeps T_k^H T_k in range for
+        # any finite f, and rho_F(f) = s rho_F(g)
+        amax = np.maximum(np.abs(fv.real), np.abs(fv.imag)).max()
         s = float(np.ldexp(1.0, np.frexp(amax)[1] - 1)) if amax else 1.0
         g = fv / s
         out = []

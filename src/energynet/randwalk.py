@@ -72,14 +72,8 @@ def _walk_step(net):
     the search, in O(1) expected steps per walker.
     """
     deg = np.diff(net.indptr)
-    cum = np.empty(net.weights.size)
-    # rows of one degree d as one (rows x d) block: the same per-row cumsum
-    # and pairwise sum as on each row alone, so cum is bit-identical to them
-    for d in np.unique(deg):
-        slots = net.indptr[:-1][deg == d, None] + np.arange(d)
-        w = net.weights[slots]
-        cum[slots[:, :-1]] = np.cumsum(w[:, :-1], axis=1) / w.sum(axis=1, keepdims=True)
-        cum[slots[:, -1]] = 1.0
+    rows = np.split(net.weights, net.indptr[1:-1])
+    cum = np.concatenate([np.append(np.cumsum(w[:-1]) / w.sum(), 1.0) for w in rows])
     # row x's buckets start at first[x].  The search adds the row index to
     # both sides, which rounds them alike (monotonically), so side="left"
     # stops at or before the first slot with cum > t.

@@ -220,6 +220,8 @@ _INVALID = [
     # range, and the certificate matrix reports the overflow
     ["mult", "--gen", "path:3", "--f", "const:1e200", "--estimate"],
     ["mult", "--gen", "path:3", "--f", "const:1e160", "--bound", "1"],
+    # a finite f whose modulus |f| itself overflows
+    ["mult", "--gen", "path:3", "--f", "const:1.5e308+1.5e308j", "--estimate"],
 ]
 
 
