@@ -7,13 +7,16 @@ at the origin), an EnergyVector: the network's one function type,
 VertexFunction, plus the cached energy.  Equal classes are compared by their
 values (`np.array_equal`), not by `==`, which is identity.
 
-Cost model: each network factors its grounded Laplacian L_X once (a dense
-Cholesky, built on first use), and every kernel query is a solve against
-that factor.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram matrix
-over F costs |F| solves, a reproducing check whose pairings <v_x, v_y> come
-from one symmetric rank-|F| update over the edges, and one Cholesky factor
-of V_F, which its users read rather than refactor; nothing else is cached,
-in particular no kernel vector per vertex.
+Cost model: each network holds the Cholesky factor of its grounded
+Laplacian L_X (Network.grounded_factor, built on first use), and every
+kernel query is a solve against that factor.  The kernel Gram matrix is
+V_X = L_X^{-1}, so a Gram matrix over F costs |F| solves, a reproducing
+check whose pairings <v_x, v_y> come from one symmetric rank-|F| update
+over the edges, and one Cholesky factor of V_F, which its users read rather
+than refactor; nothing else is cached, in particular no kernel vector per
+vertex.  The Dirac Gram matrix over F is the Laplacian block on F
+(Network.laplacian_block), and a projection onto the Dirac span over F is
+one solve against it.
 """
 
 from __future__ import annotations
@@ -95,15 +98,6 @@ def energy_form(u, v):
     return complex(out)
 
 
-def _grounded_cholesky(net):
-    """Upper Cholesky factor of the Laplacian with the origin row/column deleted."""
-    if net._grounded_cho is None:
-        keep = x_indices(net)
-        # laplacian_matrix writes both triangles from the same weights: no symmetry re-check
-        net._grounded_cho = cholesky(SymMatrix(net.laplacian_matrix()[np.ix_(keep, keep)], 0.0))
-    return net._grounded_cho
-
-
 def x_indices(net):
     """Dense indices of X = G \\ {o}, in vertex order."""
     o = net.origin_index
@@ -118,7 +112,7 @@ def kernel_columns(net, idx):
     rhs = np.zeros((net.n - 1, idx.size))
     rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
     cols = np.zeros((net.n, idx.size))
-    cols[x_indices(net)] = cho_solve(_grounded_cholesky(net), rhs)
+    cols[x_indices(net)] = cho_solve(net.grounded_factor, rhs)
     return cols
 
 
@@ -176,8 +170,8 @@ def _gram_and_columns(net, F):
     if bad:
         i, j, form = bad
         raise InvariantViolation(
-            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {form!r} "
-            f"disagrees with kernel value {V[i, j]!r}"
+            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {float(form)!r} "
+            f"disagrees with kernel value {float(V[i, j])!r}"
         )
     V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
     # factored here, so positive definiteness is an invariant of the type
@@ -207,9 +201,7 @@ def _first_mismatch(net, K, V):
 
 def delta_gram(net, F):
     """Matrix of <delta_x, delta_y>: the principal Laplacian submatrix on F."""
-    idx = [net.index(x) for x in F]
-    sub = net.laplacian_matrix()[np.ix_(idx, idx)]
-    return SymMatrix.from_array(sub)
+    return net.laplacian_block([net.index(x) for x in F])
 
 
 def reproducing_check(net, x, u):

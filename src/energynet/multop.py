@@ -19,7 +19,6 @@ from scipy.linalg.blas import dtrmv
 
 from .energy import (
     _gram_and_columns,
-    _grounded_cholesky,
     delta,
     effective_resistance,
     energy_form,
@@ -89,7 +88,7 @@ def _nested_order(net, exhaustion):
         raise InvalidInput("each set F must be a nonempty list of distinct vertices")
     for prev, cur in zip(exhaustion, exhaustion[1:]):
         if not set(prev) <= set(cur):
-            raise ValueError("exhaustion sets must be nested")
+            raise InvalidInput("exhaustion sets must be nested")
     return exhaustion, tuple(dict.fromkeys(x for F in exhaustion for x in F))
 
 
@@ -232,13 +231,13 @@ def _sufficiency_bound(m, R):
 def _iso(net, vals):
     """R u|X for L_X = R^T R: an isometry of the energy space onto l2, for
     one grounded function or one per column of an n x k array."""
-    return _grounded_cholesky(net) @ vals[x_indices(net)]
+    return net.grounded_factor @ vals[x_indices(net)]
 
 
 def _mult_matrix(net, f):
     """M_f in l2 coordinates, R diag(f|X) R^{-1}; its energy adjoint is the
     conjugate transpose."""
-    R = _grounded_cholesky(net)
+    R = net.grounded_factor
     # L_X^{-1} R^T = R^{-1}
     return (R * f[x_indices(net)]) @ cho_solve(R, R.T)
 
@@ -399,6 +398,8 @@ def analyze(m, exhaustion=None, bound=None):
             )
         best_lower = max(best_lower, rho)
         lower.append((F, best_lower))
+    if bound is None and not np.isfinite(best_lower):
+        raise InvalidInput(f"the norm estimate overflows: best lower bound {best_lower!r}")
     upper = sufficiency()
     if best_lower > upper + 1e-7 * max(1.0, upper):
         raise InvariantViolation(

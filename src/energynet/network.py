@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
+from .numkernel import SymMatrix, cholesky
 
 
 class Network:
@@ -60,8 +62,6 @@ class Network:
         self.indices = np.column_stack((self.edge_j, self.edge_i)).ravel()[rows]
         self.weights = np.repeat(self.edge_w, 2)[rows]
         self.conductance = np.bincount(src[rows], weights=self.weights, minlength=self.n)
-        # built on first use and kept for the life of the network
-        self._grounded_cho = None
 
     def index(self, x):
         try:
@@ -80,6 +80,19 @@ class Network:
         L[self.edge_i, self.edge_j] = L[self.edge_j, self.edge_i] = -self.edge_w
         np.fill_diagonal(L, self.conductance)
         return L
+
+    def laplacian_block(self, idx):
+        """The principal block of laplacian_matrix() on the dense indices idx,
+        read-only; both triangles come from the same weights, so its defect is 0."""
+        block = self.laplacian_matrix()[np.ix_(idx, idx)]
+        block.setflags(write=False)
+        return SymMatrix(block, 0.0)
+
+    @cached_property
+    def grounded_factor(self):
+        """Upper Cholesky factor of the grounded Laplacian L_X, the block on
+        X = G \\ {o}; built on first use and kept for the life of the network."""
+        return cholesky(self.laplacian_block(np.delete(np.arange(self.n), self.origin_index)))
 
     def edge_dict(self):
         return {frozenset((x, y)): w for x, y, w in self.edges}

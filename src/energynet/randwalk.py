@@ -1,5 +1,5 @@
-"""Conductance-weighted random walk: exact escape probabilities by linear
-algebra and seeded Monte Carlo estimation.
+"""Conductance-weighted random walk: exact escape probabilities from the
+energy projection onto a Dirac span, and seeded Monte Carlo estimation.
 
 The headline identity tying the walk to the operator theory is
 c(x) R(x) P[x -> o] = 1, checked in the tests for every vertex.
@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .energy import fin_projection
 from .errors import CapHit, InvalidInput, UnknownVertex
-from .numkernel import SymMatrix, spd_solve
+from .network import VertexFunction
 
 
 @dataclass(frozen=True)
@@ -39,21 +40,17 @@ def transition_prob(net, x, y):
 def escape_prob_exact(net, x):
     """P[x -> o]: probability the walk from x hits o before returning to x.
 
-    Computed from the harmonic extension h on G \\ {o, x} with h(o) = 1 and
-    h(x) = 0, then P = sum_y p(x, y) h(y).
+    P = sum_y p(x, y) h(y) for the hitting function h: 1 at o, 0 at x and
+    harmonic on I = G \\ {o, x}.  That is delta_o minus its energy projection
+    onto span{delta_y : y in I}, one Dirichlet solve on the Laplacian block L_I.
     """
     xi = net.index(x)
     oi = net.origin_index
     if xi == oi:
         raise UnknownVertex("escape probability from the origin is undefined")
-    interior = [i for i in range(net.n) if i not in (oi, xi)]
-    h = np.zeros(net.n)
-    h[oi] = 1.0
-    if interior:
-        L = net.laplacian_matrix()
-        sub = L[np.ix_(interior, interior)]
-        rhs = -L[np.ix_(interior, [oi])].ravel()  # h(o) = 1 boundary term
-        h[interior] = spd_solve(SymMatrix.from_array(sub), rhs)
+    d = VertexFunction.delta(net, net.origin)
+    interior = [y for i, y in enumerate(net.vertices) if i not in (oi, xi)]
+    h = d.values - fin_projection(net, d, interior).values if interior else d.values
     row = slice(net.indptr[xi], net.indptr[xi + 1])
     return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))
 

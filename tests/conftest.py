@@ -4,14 +4,21 @@ import pytest
 import energynet as en
 
 
-def random_network(n, seed, extra_edges=None, wlo=0.5, whi=2.0):
-    """Connected random weighted graph: random spanning tree plus extras."""
+def random_network(n, seed, extra_edges=None, wlo=0.5, whi=2.0, decades=None):
+    """Connected random weighted graph: random spanning tree plus extras.
+    Weights are uniform on [wlo, whi], or log-uniform over 10^(+-decades)."""
     rng = np.random.default_rng(seed)
+
+    def weight():
+        if decades is None:
+            return float(rng.uniform(wlo, whi))
+        return float(10.0 ** rng.uniform(-decades, decades))
+
     edges = []
     pairs = set()
     for k in range(1, n):
         j = int(rng.integers(0, k))
-        edges.append((j, k, float(rng.uniform(wlo, whi))))
+        edges.append((j, k, weight()))
         pairs.add(frozenset((j, k)))
     extra_edges = n if extra_edges is None else extra_edges
     attempts = 0
@@ -21,7 +28,7 @@ def random_network(n, seed, extra_edges=None, wlo=0.5, whi=2.0):
         if a == b or frozenset((a, b)) in pairs:
             continue
         pairs.add(frozenset((a, b)))
-        edges.append((a, b, float(rng.uniform(wlo, whi))))
+        edges.append((a, b, weight()))
     return en.build_network(edges, origin=0)
 
 

@@ -234,6 +234,12 @@ def test_invalid_input_exits_2(argv):
     assert "Traceback" not in err
 
 
+def test_overflowing_estimate_names_the_estimate():
+    # no bound was given: the message is about the estimate, not a bound b
+    argv = ["mult", "--gen", "path:3", "--f", "const:1.5e308+1.5e308j", "--estimate"]
+    assert _main_code(argv) == (2, "error: the norm estimate overflows: best lower bound inf\n")
+
+
 def test_invalid_input_exits_2_as_module():
     # the same contract through `python -m energynet.cli`, for one case
     env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))

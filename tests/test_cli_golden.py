@@ -71,7 +71,7 @@ def assert_same(got, want, where="doc"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else []
+GOLDEN = json.loads(DATA.read_text())
 
 
 def test_grid_matches_records():
@@ -88,7 +88,6 @@ def test_cli_output_matches_record(want):
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        DATA.parent.mkdir(exist_ok=True)
         DATA.write_text(json.dumps([record(a) for a in grid()], indent=1) + "\n")
     else:
         digest = hashlib.sha256()

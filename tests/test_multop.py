@@ -113,6 +113,20 @@ def test_certify_bound_nesting(p3):
     assert all(v.is_psd for v in verdicts)
 
 
+def test_non_nested_exhaustion_is_invalid_input(p3):
+    m = Multiplier.delta(p3, 1)
+    runs = [
+        lambda: analyze(m, [(1, 2), (2,)]),
+        lambda: analyze(m, [(1,), (2,)], bound=2.0),
+        lambda: certify_bound(m, 2.0, [(2,), (1,)]),
+        lambda: bisect_bound(m, [(1, 2), (1,)]),
+        lambda: truncation_consistency(m, [1, 2], [2]),
+    ]
+    for run in runs:
+        with pytest.raises(InvalidInput, match="exhaustion sets must be nested"):
+            run()
+
+
 @pytest.mark.parametrize("exhaustion", [[(1, 1), (1, 2)], [(), (1,)], []])
 def test_exhaustion_levels_validated(p3, exhaustion):
     m = Multiplier.delta(p3, 1)
@@ -799,6 +813,27 @@ def test_checks_factor_once_and_skip_eigh(monkeypatch, check):
     assert calls == ["laplacian"]
 
 
+def test_one_network_factors_once(monkeypatch):
+    # the grounded factor is the network's: kernel, Gram, norm analysis and
+    # the rank-one checks all read the one factor built on first use
+    net = random_network(12, seed=8, decades=3)
+    calls = []
+    laplacian = en.Network.laplacian_matrix
+
+    def counted(self):
+        calls.append("laplacian")
+        return laplacian(self)
+
+    monkeypatch.setattr(en.Network, "laplacian_matrix", counted)
+    xs = x_vertices(net)
+    en.energy_kernel(net, xs[0])
+    en.gram_matrix(net, xs[1:4])
+    analyze(Multiplier.from_kernel(net, xs[2]))
+    assert rank_one_identities(net, xs[0], xs[-1]) <= 1e-9
+    assert calls == ["laplacian"]
+    assert net.grounded_factor is net.grounded_factor
+
+
 def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
     # a check that only compared its own construction would stay at rounding level
     net = random_network(10, 3)
@@ -844,6 +879,7 @@ def test_gram_cross_check_sees_a_perturbed_kernel_solve(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"internal error: Gram entry {pair}") and len(err.splitlines()) == 1
+        assert "np.float64" not in err
 
 
 def test_default_exhaustion(test_net):

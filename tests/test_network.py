@@ -152,6 +152,13 @@ def test_laplacian_row_sums_vanish(test_net):
         assert abs(total) <= 1e-12 * max(1.0, np.abs(u.values).max())
 
 
+def test_laplacian_block(test_net):
+    idx = [3, 0, 2]
+    block = test_net.laplacian_block(idx)
+    np.testing.assert_array_equal(block.a, test_net.laplacian_matrix()[np.ix_(idx, idx)])
+    assert block.defect == 0.0 and not block.a.flags.writeable
+
+
 def test_conductance_is_laplacian_diagonal(test_net):
     L = test_net.laplacian_matrix()
     for i, x in enumerate(test_net.vertices):

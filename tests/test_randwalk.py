@@ -3,6 +3,7 @@ import pytest
 
 import energynet as en
 from energynet.errors import CapHit, UnknownVertex
+from energynet.numkernel import SymMatrix, spd_solve
 from energynet.randwalk import _walk_step, escape_prob_exact, escape_prob_mc, transition_prob
 
 from conftest import random_network, x_vertices
@@ -40,10 +41,10 @@ def _skewed_network():
     return net
 
 
-def _hub(leaves=600, seed=9):
-    # one vertex joined to many leaves, weights log-uniform over six decades;
+def _hub(leaves=600, seed=9, decades=3.0):
+    # one vertex joined to many leaves, weights log-uniform over 2 * decades;
     # the origin is the heaviest leaf, so excursions pass the hub often
-    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, leaves)
+    w = 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, leaves)
     return en.build_network([("h", k, float(c)) for k, c in enumerate(w)], origin=int(w.argmax()))
 
 
@@ -91,6 +92,40 @@ def test_escape_prob_segment():
     for k in range(1, 6):
         expected = 1.0 / (en.total_conductance(seg, k) * k)
         assert escape_prob_exact(seg, k) == pytest.approx(expected)
+
+
+def _dense_escape(net, x):
+    """P[x -> o] from the dense interior solve L_II h_I = -L_Io on
+    I = G \\ {o, x}, with h(o) = 1 and h(x) = 0."""
+    xi, oi = net.index(x), net.origin_index
+    interior = [i for i in range(net.n) if i not in (oi, xi)]
+    h = np.zeros(net.n)
+    h[oi] = 1.0
+    if interior:
+        L = net.laplacian_matrix()
+        sub = SymMatrix.from_array(L[np.ix_(interior, interior)])
+        h[interior] = spd_solve(sub, -L[interior, oi])
+    row = slice(net.indptr[xi], net.indptr[xi + 1])
+    return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda s=s: random_network(2 + s % 23, seed=s, extra_edges=s % 9, decades=6)
+          for s in range(16)),
+        lambda: _hub(leaves=250, seed=3, decades=6.0),
+        lambda: en.build_network([(0, 1, 1e-4), (1, 2, 1e4), (2, 3, 1e-4)], origin=0),
+        lambda: en.build_network([("a", "b", 3.0)], origin="a"),
+    ],
+    ids=[*(f"spread{s}" for s in range(16)), "hub250", "path_1e-4_1e4_1e-4", "two_vertices"],
+)
+def test_escape_prob_exact_is_the_dense_interior_solve(make):
+    # h = delta_o minus its projection onto the interior Dirac span solves
+    # L_II h_I = -L_Io with the same factor, sign for sign: the same bits
+    net = make()
+    for x in x_vertices(net):
+        assert escape_prob_exact(net, x) == _dense_escape(net, x)
 
 
 def test_walk_operator_identity(test_net):
