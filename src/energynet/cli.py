@@ -82,7 +82,7 @@ def _parse_vector(net, spec):
 
 
 def _parse_exhaustion(net, spec):
-    xs = [net.vertices[i] for i in energy.x_indices(net)]
+    xs = [net.vertices[i] for i in net.x_index.tolist()]
     if spec is None or spec == "all":
         return multop.default_exhaustion(net)
     try:

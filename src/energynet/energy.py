@@ -98,12 +98,6 @@ def energy_form(u, v):
     return complex(out)
 
 
-def x_indices(net):
-    """Dense indices of X = G \\ {o}, in vertex order."""
-    o = net.origin_index
-    return [i for i in range(net.n) if i != o]
-
-
 def kernel_columns(net, idx):
     """Grounded kernel vectors v_x for the dense indices idx (origin
     excluded) as the columns of an n x len(idx) array: one solve of
@@ -112,7 +106,7 @@ def kernel_columns(net, idx):
     rhs = np.zeros((net.n - 1, idx.size))
     rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
     cols = np.zeros((net.n, idx.size))
-    cols[x_indices(net)] = cho_solve(net.grounded_factor, rhs)
+    cols[net.x_index] = cho_solve(net.grounded_factor, rhs)
     return cols
 
 

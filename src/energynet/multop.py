@@ -26,7 +26,6 @@ from .energy import (
     gram_matrix,
     ground,
     kernel_columns,
-    x_indices,
 )
 from .errors import (
     InsufficientEnclosure,
@@ -36,7 +35,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, cho_solve, psd_check, top_eigpair
+from .numkernel import SymMatrix, _by_parts, cho_solve, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -162,12 +161,6 @@ def _nested_levels(m, exhaustion=None):
     return certify, trace, sufficiency
 
 
-def _by_parts(op):
-    """A real linear map op, extended to complex vectors as two real calls:
-    no complex copy of its real matrix."""
-    return lambda y: op(y.real) + 1j * op(y.imag) if np.iscomplexobj(y) else op(y)
-
-
 def _s(b, fv, V):
     """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv and V."""
     if not (b >= 0 and np.isfinite(b)):
@@ -217,7 +210,7 @@ def _sufficiency_bound(m, R):
     """sufficiency_bound(m), with R(x) read from R (by dense index) where it
     is not NaN and solved for the rest of supp f in one kernel solve."""
     net = m.net
-    supp = np.array([i for i in x_indices(net) if m.f[i]], dtype=np.intp)
+    supp = net.x_index[m.f[net.x_index] != 0]
     R = R[supp]
     rest = supp[np.isnan(R)]
     if rest.size:
@@ -231,7 +224,7 @@ def _sufficiency_bound(m, R):
 def _iso(net, vals):
     """R u|X for L_X = R^T R: an isometry of the energy space onto l2, for
     one grounded function or one per column of an n x k array."""
-    return net.grounded_factor @ vals[x_indices(net)]
+    return net.grounded_factor @ vals[net.x_index]
 
 
 def _mult_matrix(net, f):
@@ -239,7 +232,7 @@ def _mult_matrix(net, f):
     conjugate transpose."""
     R = net.grounded_factor
     # L_X^{-1} R^T = R^{-1}
-    return (R * f[x_indices(net)]) @ cho_solve(R, R.T)
+    return (R * f[net.x_index]) @ cho_solve(R, R.T)
 
 
 def _ket(a, b):
@@ -258,9 +251,9 @@ def rank_one_identities(net, x, y):
     on the kernel basis.  Returns the maximum relative energy-norm
     discrepancy."""
     _require_in_X(net, x, y)
-    xs = x_indices(net)
-    K = kernel_columns(net, xs)
-    vx, vy = (ground(net, K[:, xs.index(net.index(z))]) for z in (x, y))
+    K = kernel_columns(net, net.x_index)
+    # column of z: its dense index, less one past the origin
+    vx, vy = (ground(net, K[:, i - (i > net.origin_index)]) for i in map(net.index, (x, y)))
     deltax, deltay = delta(net, x), delta(net, y)
     Y = _iso(net, K)
     kvx, kvy, kdx, kdy = (_iso(net, u.values) for u in (vx, vy, deltax, deltay))
@@ -339,7 +332,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     chi[[net.index(z) for z in F_m]] = 1.0
     D = P @ (_mult_matrix(net, m.f) - _mult_matrix(net, m.f * chi)) @ P
     if samples is None:
-        Y = _iso(net, kernel_columns(net, x_indices(net)))
+        Y = _iso(net, kernel_columns(net, net.x_index))
     else:
         Y = _iso(net, np.column_stack([u.values for u in samples]))
     return _worst(D, Y)
@@ -373,7 +366,7 @@ class MultiplierReport:
 
 def default_exhaustion(net):
     """Nested prefixes of X in canonical order, doubling in size."""
-    xs = [net.vertices[i] for i in x_indices(net)]
+    xs = [net.vertices[i] for i in net.x_index.tolist()]
     sizes = []
     k = 1
     while k < len(xs):

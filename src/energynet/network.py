@@ -39,7 +39,10 @@ class Network:
     construct one; the constructor itself assumes pre-validated input.
     The adjacency is stored once, as CSR arrays: the neighbours of vertex i
     are ``indices[indptr[i]:indptr[i + 1]]``, in edge order, with their
-    conductances at the same positions of ``weights``.
+    conductances at the same positions of ``weights``.  ``x_index`` holds
+    the dense indices of X = G \\ {o} in vertex order, read-only: the index
+    set of the reproducing kernel and of the grounded factor, spelled out
+    only here.
     """
 
     def __init__(self, vertices, origin, edges):
@@ -48,6 +51,9 @@ class Network:
         self.origin = origin
         self._index = index = {v: k for k, v in enumerate(self.vertices)}
         self.n = len(self.vertices)
+        self.origin_index = index[origin]
+        self.x_index = np.delete(np.arange(self.n), self.origin_index)
+        self.x_index.setflags(write=False)
         self.edges = tuple(edges)
         rec = np.fromiter(
             ((index[x], index[y], w) for x, y, w in self.edges),
@@ -69,10 +75,6 @@ class Network:
         except KeyError:
             raise UnknownVertex(f"vertex {x!r} not in network") from None
 
-    @property
-    def origin_index(self):
-        return self._index[self.origin]
-
     def laplacian_matrix(self):
         """Dense Laplacian, physics sign convention (nonnegative spectrum); not cached."""
         # edges are unique after build_network's merge, so no entry repeats
@@ -92,7 +94,7 @@ class Network:
     def grounded_factor(self):
         """Upper Cholesky factor of the grounded Laplacian L_X, the block on
         X = G \\ {o}; built on first use and kept for the life of the network."""
-        return cholesky(self.laplacian_block(np.delete(np.arange(self.n), self.origin_index)))
+        return cholesky(self.laplacian_block(self.x_index))
 
     def edge_dict(self):
         return {frozenset((x, y)): w for x, y, w in self.edges}

@@ -11,6 +11,7 @@ finite once, by `SymMatrix.from_array`, where a matrix enters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,17 @@ def cholesky(A):
         raise NotPositiveDefinite(str(exc)) from None
 
 
+def _by_parts(op):
+    """A real linear map op, extended to complex vectors as two real calls:
+    no complex copy of its real matrix."""
+    return lambda y: op(y.real) + 1j * op(y.imag) if np.iscomplexobj(y) else op(y)
+
+
 def cho_solve(U, rhs):
-    """Solve U^H U x = rhs for the array U that `cholesky` returns.  A complex
-    right-hand side against a real factor is solved as two real systems."""
-    if np.iscomplexobj(rhs) and not np.iscomplexobj(U):
-        return cho_solve(U, rhs.real) + 1j * cho_solve(U, rhs.imag)
-    return scipy.linalg.cho_solve((U, False), rhs)
+    """Solve U^H U x = rhs for the array U that `cholesky` returns, by parts
+    against a real factor."""
+    solve = functools.partial(scipy.linalg.cho_solve, (U, False))
+    return solve(rhs) if np.iscomplexobj(U) else _by_parts(solve)(rhs)
 
 
 def spd_solve(A, b):

@@ -159,6 +159,18 @@ def test_laplacian_block(test_net):
     assert block.defect == 0.0 and not block.a.flags.writeable
 
 
+def test_x_index_is_x_in_vertex_order_and_read_only():
+    # the origin in the middle of the vertex order
+    net = en.build_network([("a", "o", 1.0), ("o", "b", 2.0), ("b", "c", 3.0)], origin="o")
+    assert net.origin_index == 1
+    np.testing.assert_array_equal(net.x_index, [0, 2, 3])
+    assert net.x_index.dtype == np.intp and not net.x_index.flags.writeable
+    with pytest.raises(ValueError):
+        net.x_index[0] = 1
+    block = net.laplacian_block(net.x_index).a
+    np.testing.assert_allclose(net.grounded_factor.T @ net.grounded_factor, block, atol=1e-14)
+
+
 def test_conductance_is_laplacian_diagonal(test_net):
     L = test_net.laplacian_matrix()
     for i, x in enumerate(test_net.vertices):
