@@ -9,14 +9,14 @@ values (`np.array_equal`), not by `==`, which is identity.
 
 Cost model: each network holds the Cholesky factor of its grounded
 Laplacian L_X (Network.grounded_factor, built on first use), and every
-kernel query is a solve against that factor.  The kernel Gram matrix is
-V_X = L_X^{-1}, so a Gram matrix over F costs |F| solves, a reproducing
-check whose pairings <v_x, v_y> come from one symmetric rank-|F| update
-over the edges, and one Cholesky factor of V_F, which its users read rather
-than refactor; nothing else is cached, in particular no kernel vector per
-vertex.  The Dirac Gram matrix over F is the Laplacian block on F
-(Network.laplacian_block), and a projection onto the Dirac span over F is
-one solve against it.
+kernel query is a solve against that factor, whose rows are X in the order
+of Network.x_index.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram
+matrix over F costs |F| solves, a reproducing check whose pairings
+<v_x, v_y> come from one symmetric rank-|F| update over the edges, and one
+Cholesky factor of V_F, which its users read rather than refactor; nothing
+else is cached, in particular no kernel vector per vertex.  The Dirac Gram
+matrix over F is the Laplacian block on F (Network.laplacian_block), and a
+projection onto the Dirac span over F is one solve against it.
 """
 
 from __future__ import annotations
@@ -259,14 +259,20 @@ def pointwise_product(u1, u2):
                          + ||u1^2||_inf ||u2||_E^2.
     """
     _same_net(u1, u2)
-    prod = ground(u1.net, u1.values * u2.values)
-    s1, s2 = sup_norm(u1), sup_norm(u2)
-    bound = (
-        s2**2 * u1.energy
-        + 2 * s1 * s2 * abs(energy_form(u1, u2))
-        + s1**2 * u2.energy
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = ground(u1.net, u1.values * u2.values)
+        s1, s2 = sup_norm(u1), sup_norm(u2)
+        bound = (
+            s2 * s2 * u1.energy
+            + 2 * s1 * s2 * abs(energy_form(u1, u2))
+            + s1 * s1 * u2.energy
+        )
     est = ProductEstimate(prod.energy, float(bound))
+    if not (np.isfinite(est.product_energy_sq) and np.isfinite(est.bound)):
+        raise InvalidInput(
+            f"the product energy {est.product_energy_sq!r} or its bound {est.bound!r} "
+            "is not finite"
+        )
     if est.product_energy_sq > est.bound + 1e-9:
         raise InvariantViolation(
             f"product energy {est.product_energy_sq} exceeds its bound {est.bound}"

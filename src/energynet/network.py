@@ -2,7 +2,9 @@
 
 A network is a finite connected graph with symmetric positive conductances
 and a distinguished origin vertex.  Vertices keep their insertion order and
-all matrix-valued quantities downstream index vertices by that order.
+all matrix-valued quantities downstream index vertices by that order.  The
+network owns X = G \\ {o}, the index set of the reproducing kernel:
+Network.x_index lists its dense indices, and no other module rebuilds it.
 
 A function on the vertices is one type, VertexFunction: the network and its
 values in vertex order.  Multipliers (multop.Multiplier) are its subclass
@@ -40,9 +42,7 @@ class Network:
     The adjacency is stored once, as CSR arrays: the neighbours of vertex i
     are ``indices[indptr[i]:indptr[i + 1]]``, in edge order, with their
     conductances at the same positions of ``weights``.  ``x_index`` holds
-    the dense indices of X = G \\ {o} in vertex order, read-only: the index
-    set of the reproducing kernel and of the grounded factor, spelled out
-    only here.
+    the dense indices of X = G \\ {o} in vertex order, read-only.
     """
 
     def __init__(self, vertices, origin, edges):
@@ -132,7 +132,7 @@ class VertexFunction:
         vals = np.zeros(net.n, dtype=complex)
         for x, v in mapping.items():
             vals[net.index(x)] = v
-        if np.isrealobj(np.asarray(list(mapping.values()))) or not np.any(vals.imag):
+        if not np.any(vals.imag):
             vals = vals.real.copy()  # contiguous float64, not a view into vals
         vals.setflags(write=False)
         return cls(net, vals)

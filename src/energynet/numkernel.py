@@ -2,8 +2,10 @@
 eigenpair of a psd operator, psd certification and matrix square roots.
 
 Everything here is a pure function on small dense matrices (target scale
-n <= ~2000); real inputs stay on the real code path.  Only `sym_eig`
-computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
+n <= ~2000); real inputs stay on the real code path, and a complex vector
+meets a real matrix only by parts (`_by_parts`: two real calls, no complex
+copy of the matrix), in every `cho_solve` and in the norm trace.  Only
+`sym_eig` computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
 matrix-vector product and `psd_check` a subset eigensolve for the smallest
 eigenpair.  Matrix arguments are `SymMatrix` only, checked Hermitian and
 finite once, by `SymMatrix.from_array`, where a matrix enters.

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -197,7 +198,8 @@ def test_error_exit_code(capsys):
     assert main(["kernel", "--vertex", "1"]) == 2
     assert main(["gram", "--gen", "path:3", "--F", "0,1"]) == 2
     assert main(["kernel", "--gen", "nosuch:3", "--vertex", "1"]) == 2
-    capsys.readouterr()
+    assert main(["kernel", "--gen", "path:3", "--net", "a.json", "--vertex", "1"]) == 2
+    assert capsys.readouterr().err.endswith("error: use exactly one of --gen and --net\n")
 
 
 _INVALID = [
@@ -238,6 +240,29 @@ def test_overflowing_estimate_names_the_estimate():
     # no bound was given: the message is about the estimate, not a bound b
     argv = ["mult", "--gen", "path:3", "--f", "const:1.5e308+1.5e308j", "--estimate"]
     assert _main_code(argv) == (2, "error: the norm estimate overflows: best lower bound inf\n")
+
+
+@pytest.mark.parametrize(
+    "values, u2, message",
+    [
+        # the vector's own energy overflows, with or without a second vector
+        ({"1": 1e200, "2": -1e200}, False, "has no finite energy: inf"),
+        ({"1": 1e200, "2": -1e200}, True, "has no finite energy: inf"),
+        # each energy is finite (5e300), the product's is not
+        ({"1": 1e150, "2": -1e150}, True, "the product energy inf or its bound inf is not finite"),
+    ],
+)
+def test_banach_overflow_exits_2(tmp_path, values, u2, message):
+    spec = tmp_path / "F.json"
+    spec.write_text(json.dumps({"values": values}))
+    argv = ["banach", "--gen", "path:3", "--u", f"file:{spec}"]
+    argv += ["--u2", f"file:{spec}"] if u2 else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape main
+        code, err = _main_code(argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in err, err
 
 
 def test_invalid_input_exits_2_as_module():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 import energynet as en
 from energynet.energy import ground, zero_vector
-from energynet.errors import NetworkMismatch, OriginInF, UnknownVertex
+from energynet.errors import (
+    InvalidInput,
+    InvariantViolation,
+    NetworkMismatch,
+    OriginInF,
+    UnknownVertex,
+)
 
 from conftest import random_energy_vector, random_network, x_vertices
 
@@ -81,6 +88,8 @@ def test_energy_vectors_are_vertex_functions(test_net):
         assert not w.values.flags.writeable
         assert w.values[test_net.origin_index] == 0.0
         assert w.energy == pytest.approx(float(w.values @ L @ w.values), rel=1e-9, abs=1e-12)
+    # complex values with zero imaginary part are stored real
+    assert en.ground(test_net, u.values + 0j).values.dtype == np.float64
     assert [f.name for f in dataclasses.fields(en.EnergyVector)] == ["net", "values", "energy"]
 
 
@@ -90,6 +99,8 @@ def test_effective_resistance(p3):
     seg = en.generate("integer_segment", 6)
     for k in range(1, 6):
         assert en.effective_resistance(seg, k) == pytest.approx(k)
+    with pytest.raises(UnknownVertex, match="to the origin itself is undefined"):
+        en.effective_resistance(seg, 0)
 
 
 def test_effective_resistance_consistency(test_net):
@@ -295,3 +306,21 @@ def test_pointwise_product_estimate_random(test_net):
         u2 = random_energy_vector(test_net, rng, complex_=True)
         _, est = en.pointwise_product(u1, u2)
         assert est.slack >= -1e-9
+
+
+def test_pointwise_product_bound_check(monkeypatch, p3):
+    # a bound that reads zero sup norms drops below the product energy
+    v1, v2 = en.energy_kernel(p3, 1), en.energy_kernel(p3, 2)
+    monkeypatch.setattr(en.energy, "sup_norm", lambda u: 0.0)
+    with pytest.raises(InvariantViolation, match="exceeds its bound"):
+        en.pointwise_product(v1, v2)
+
+
+def test_pointwise_product_refuses_an_overflowing_product(p3):
+    # each factor has finite energy (5e300); the product's energy and bound do not
+    u = en.ground(p3, np.array([0.0, 1e150, -1e150]))
+    assert np.isfinite(u.energy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(InvalidInput, match="product energy inf or its bound inf"):
+            en.pointwise_product(u, u)

@@ -43,6 +43,8 @@ def test_apply_regrounds(p3):
     assert np.allclose(out.values, [0, 1, 2])
     shifted = en.ground(p3, np.array([5.0, 6.0, 6.0]))  # same class as u
     assert np.allclose(apply(m, shifted).values, out.values)
+    with pytest.raises(NetworkMismatch):
+        apply(m, en.energy_kernel(en.generate("path", 3), 1))
 
 
 def test_adjoint_on_kernel(p3):
@@ -433,6 +435,35 @@ def test_pencil_residual_check(monkeypatch, capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("internal error: pencil residual")
+
+
+def _decreasing_trace(certify, trace, sufficiency):
+    # the levels' norms in reverse: the trace of kernel:3 increases strictly
+    def reversed_trace():
+        levels = trace()
+        return [(F, rho) for (F, _), (_, rho) in zip(levels, levels[::-1])]
+
+    return certify, reversed_trace, sufficiency
+
+
+def _low_sufficiency(certify, trace, sufficiency):
+    return certify, trace, lambda: 0.0
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(_decreasing_trace, "restricted norm decreased along the exhaustion"),
+     (_low_sufficiency, "exceeds sufficiency bound")],
+)
+def test_analyze_guards(monkeypatch, capsys, spoil, message):
+    nested_levels = multop._nested_levels
+    monkeypatch.setattr(multop, "_nested_levels", lambda *args: spoil(*nested_levels(*args)))
+    net = en.generate("integer_segment", 12)
+    with pytest.raises(InvariantViolation, match=message):
+        analyze(Multiplier.from_kernel(net, 3))
+    assert main(["mult", "--gen", "integer_segment:12", "--f", "kernel:3", "--estimate"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ") and message in err
 
 
 def _pencil_rho(m, F):
@@ -914,6 +945,7 @@ def test_bisect_bound(p3):
     m = Multiplier.delta(p3, 1)
     b = bisect_bound(m, tol=1e-8)
     assert b == pytest.approx(np.sqrt(2.0), abs=1e-7)
+    assert bisect_bound(Multiplier.constant(p3, 0.0)) == 0.0  # certified at b = 0
 
 
 def test_bisect_bound_uncertified_bracket(p3):

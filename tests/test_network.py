@@ -51,6 +51,7 @@ def test_duplicate_edge_merged_and_conflicting_rejected():
         ([(0, 1, 1)], 5, OriginMissing),
         ([(0, 1, float("inf"))], 0, NonPositiveConductance),
         ([(0, 1, float("nan"))], 0, NonPositiveConductance),
+        ([], 0, InvalidSize),
     ],
 )
 def test_build_errors(edges, origin, err):
@@ -109,6 +110,8 @@ def test_equal_networks_hash_equal():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     heavier = en.build_network([(0, 1, 1.0), (1, 2, 2.0)], origin=0)
     assert heavier != a and len({a, heavier}) == 2
+    assert a.__eq__(a.vertices) is NotImplemented and a != a.vertices
+    assert repr(heavier) == "Network(n=3, edges=2, origin=0)"
 
 
 def test_vertex_functions_compare_by_identity(p3):
@@ -190,6 +193,10 @@ def test_generate_families():
         en.generate("cycle", 2)
     with pytest.raises(InvalidSize):
         en.generate("unknown", 4)
+    with pytest.raises(InvalidSize, match="binary_tree needs depth >= 1"):
+        en.generate("binary_tree", 0)
+    with pytest.raises(InvalidSize, match="integer_segment needs n >= 2"):
+        en.generate("integer_segment", 1)
 
 
 def test_generate_weight_callable():
@@ -258,6 +265,9 @@ def test_load_csv(tmp_path):
     assert net == en.generate("path", 3)
     with pytest.raises(ParseError):
         en.load_network(f)  # origin flag required for CSV
+    f.write_text("0,1,1.0\n1,2,1.0\n")
+    with pytest.raises(ParseError, match="expected CSV header 'x,y,c'"):
+        en.load_network(f, origin=0)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
 from energynet import numkernel
-from energynet.errors import NotPositiveDefinite, NotPsd
+from energynet.errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
 from energynet.numkernel import (
     SymMatrix,
     cho_solve,
@@ -166,6 +167,15 @@ def test_top_eigpair_degenerate_operators():
     assert lam == pytest.approx(3.0) and abs(x[0]) == pytest.approx(1.0)
 
 
+def test_top_eigpair_grows_its_basis_past_32_rows():
+    # an evenly spread spectrum: the top Ritz pair settles after 105 products
+    d = np.linspace(0.0, 1.0, 200)
+    calls = []
+    lam, x = top_eigpair(lambda v: calls.append(1) or d * v, 200)
+    assert len(calls) > 32
+    assert lam == pytest.approx(1.0, rel=1e-14) and abs(x[-1]) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_top_eigpair_reproducible():
     a = random_psd(np.random.default_rng(1), 30)
     first = top_eigpair(lambda v: a @ v, 30)
@@ -205,6 +215,19 @@ def test_sqrtm_psd_roundtrip(seed, n):
 def test_symmatrix_rejects_nonhermitian():
     with pytest.raises(ValueError):
         SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        SymMatrix.from_array(np.ones((2, 3)))
+
+
+def test_eigensolver_failure_is_convergence_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    for solve in (en.sym_eig, en.psd_check):
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            solve(sym(np.eye(2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf)])

@@ -235,6 +235,8 @@ def test_mc_trivial_network():
     est = escape_prob_mc(two, "x", samples=100, seed=0)
     assert est.mc_estimate == 1.0
     assert est.mc_stderr == 0.0
+    with pytest.raises(UnknownVertex, match="from the origin is undefined"):
+        escape_prob_mc(two, "o", samples=100, seed=0)
 
 
 def test_mc_cap_hit():

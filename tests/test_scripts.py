@@ -33,3 +33,28 @@ def test_walk_coverage_runs():
     assert lines[0].startswith("path:4, x = 2: exact P = ")
     assert [ln.split()[:2] for ln in lines[1:4]] == [["seed", f"{s}:"] for s in range(3)]
     assert lines[-1].startswith("coverage: ") and lines[-1].endswith("/3 within 3 standard errors")
+
+
+def _line_of(path, text):
+    """'src/energynet/<name>:<line>' of the one source line that is text, stripped."""
+    lines = [k for k, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip() == text]
+    assert len(lines) == 1, (path, text)
+    return f"src/energynet/{path.name}:{lines[0]}"
+
+
+def test_untested_lines_on_one_test_file(tmp_path):
+    test = tmp_path / "test_one.py"
+    test.write_text("import energynet as en\n\n\ndef test_path():\n"
+                    "    assert en.generate('path', 3).n == 3\n")
+    lines = run_script("untested_lines.py", "-q", "-p", "no:cacheprovider", str(test))
+    listed = {ln.split(" ", 1)[0] for ln in lines if ln.startswith("src/energynet/")}
+    package = Path(en.__file__).parent
+    network, multop = package / "network.py", package / "multop.py"
+    # the generator's path branch ran, its size check did not
+    path_edges = "edges = [(k, k + 1, w(k, k + 1)) for k in range(size - 1)]"
+    assert _line_of(network, path_edges) not in listed
+    assert _line_of(network, 'raise InvalidSize("path needs at least 2 vertices")') in listed
+    # a declaration carries no bytecode: never listed, though its body is
+    assert _line_of(multop, "nonlocal gram") not in listed
+    assert _line_of(multop, "U, gram = gram.U, None") in listed
+    assert any(ln.startswith("1 passed") for ln in lines)
