@@ -18,6 +18,7 @@ import numpy as np
 from . import energy, multop, network, randwalk
 from .errors import EnergyNetError, InvalidInput, InvariantViolation
 from .network import _parse_vertex
+from .numkernel import matmul
 
 
 def _build_net(args):
@@ -171,11 +172,12 @@ def cmd_gram(args):
     F = [_parse_vertex(t) for t in args.F.split(",")]
     gm = energy.gram_matrix(net, F)
     doc = {"command": "gram", "F": [str(v) for v in gm.F], "V": gm.V.a.tolist()}
+    rows = [["x", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["V"])]
     if args.sqrt:
         root = gm.sqrt().a
         doc["sqrt"] = root.tolist()
-        doc["sqrt_residual"] = float(np.abs(root @ root - gm.V.a).max())
-    rows = [["x", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["V"])]
+        doc["sqrt_residual"] = float(np.abs(matmul(root, root) - gm.V.a).max())
+        rows += [["sqrt", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["sqrt"])]
     _emit(doc, args.format, csv_rows=rows)
     return 0
 

@@ -35,7 +35,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, _by_parts, cho_solve, psd_check, top_eigpair
+from .numkernel import SymMatrix, _by_parts, cho_solve, matmul, psd_check, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -147,8 +147,8 @@ def _nested_levels(m, exhaustion=None):
             lam, q = top_eigpair(lambda x: solve_t(gk * mul_t(mul(np.conj(gk) * solve(x)))), k)
             xi = solve(q)
             xi /= np.linalg.norm(xi)
-            Vk, d = V[:k, :k], np.diagonal(V)[:k]
-            resid = np.linalg.norm(gk * (Vk @ (np.conj(gk) * xi)) - lam * (Vk @ xi))
+            Vk, d = np.asfortranarray(V[:k, :k]), np.diagonal(V)[:k]
+            resid = np.linalg.norm(gk * matmul(Vk, np.conj(gk) * xi) - lam * matmul(Vk, xi))
             # diagonal entries of psd matrices bound their spectral norms below
             scale = np.max(np.abs(gk) ** 2 * d) + abs(lam) * d.max()
             if resid > 1e-8 * max(scale, 1e-300):

@@ -9,6 +9,17 @@ copy of the matrix), in every `cho_solve` and in the norm trace.  Only
 matrix-vector product and `psd_check` a subset eigensolve for the smallest
 eigenpair.  Matrix arguments are `SymMatrix` only, checked Hermitian and
 finite once, by `SymMatrix.from_array`, where a matrix enters.
+
+One BLAS: every dense matrix product (`matmul`, `gemv` in `top_eigpair`) and
+eigensolver here runs through `scipy.linalg`, its BLAS and LAPACK.  numpy and
+scipy each load their own OpenBLAS build, and each build keeps its own
+worker threads.  A numpy product leaves numpy's worker spinning for a while
+after it returns, and scipy's next threaded call then shares the cores with
+it: on a 2-vCPU box, one numpy 800 x 800 matrix-vector product just before a
+`mult` run's certificates raised their time from 0.080 to 0.148 s, and a
+scipy one left it at 0.072 s.  Vector calls (`np.vdot`, `np.linalg.norm`)
+stay on numpy: OpenBLAS runs level-1 routines single-threaded at these
+lengths.
 """
 
 from __future__ import annotations
@@ -83,6 +94,31 @@ def _by_parts(op):
     return lambda y: op(y.real) + 1j * op(y.imag) if np.iscomplexobj(y) else op(y)
 
 
+def _f_ordered(a):
+    """(b, t): an F-ordered array b and a BLAS trans flag t with op_t(b) = a,
+    the transposed view when a is C-ordered, so that f2py copies nothing."""
+    if a.flags.f_contiguous:
+        return a, 0
+    if a.flags.c_contiguous:
+        return a.T, 1
+    return np.asfortranarray(a), 0
+
+
+def matmul(a, b):
+    """a @ b for a 2-D a and a 1-D or 2-D b, by scipy's BLAS (gemv or gemm):
+    the one OpenBLAS of the module docstring.  A real a meets a complex b by
+    parts."""
+    A, ta = _f_ordered(a)
+
+    def op(y):
+        if y.ndim == 1:
+            return scipy.linalg.get_blas_funcs("gemv", (A, y))(1.0, A, y, trans=ta)
+        B, tb = _f_ordered(y)
+        return scipy.linalg.get_blas_funcs("gemm", (A, B))(1.0, A, B, trans_a=ta, trans_b=tb)
+
+    return op(b) if np.iscomplexobj(A) else _by_parts(op)(b)
+
+
 def cho_solve(U, rhs):
     """Solve U^H U x = rhs for the array U that `cholesky` returns, by parts
     against a real factor."""
@@ -98,7 +134,7 @@ def spd_solve(A, b):
     b = np.asarray(b)
     U = cholesky(A)
     x = cho_solve(U, b)
-    resid = b - A.a @ x
+    resid = b - matmul(A.a, x)
     if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(b), 1e-300):
         x = x + cho_solve(U, resid)
     return x
@@ -107,7 +143,7 @@ def spd_solve(A, b):
 def sym_eig(A):
     """Eigendecomposition A = Q diag(w) Q*, eigenvalues ascending."""
     try:
-        w, q = np.linalg.eigh(A.a)
+        w, q = scipy.linalg.eigh(A.a, driver="evd")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
     return w, q
@@ -155,22 +191,25 @@ def top_eigpair(matvec, n):
     q /= np.linalg.norm(q)
     w = matvec(q)
     basis = np.empty((min(n, 32), n), dtype=w.dtype)
+    gemv = scipy.linalg.get_blas_funcs("gemv", (basis,))
+    adjoint = 2 if np.iscomplexobj(basis) else 1
     alpha, beta = [], []
     for j in range(n):
         if j == basis.shape[0]:
             basis = np.concatenate((basis, np.empty_like(basis[: n - j])))
         basis[j] = q
         alpha.append(float(np.real(np.vdot(q, w))))
-        Q = basis[: j + 1]
+        # the basis rows are the columns of the F-ordered view QT: no copy
+        QT = basis[: j + 1].T
         for _ in range(2):
-            w = w - np.conj(Q @ np.conj(w)) @ Q
+            w = w - gemv(1.0, QT, gemv(1.0, QT, w, trans=adjoint))
         b = float(np.linalg.norm(w))
         theta, y = scipy.linalg.eigh_tridiagonal(
             alpha, beta, select="i", select_range=(j, j), check_finite=False
         )
         theta, y = float(theta[0]), y[:, 0]
         if abs(b * y[-1]) <= 1e-14 * abs(theta) or j + 1 == n:
-            return theta, y @ Q
+            return theta, gemv(1.0, QT, y)
         beta.append(b)
         q = w / b
         w = matvec(q)
@@ -185,5 +224,5 @@ def sqrtm_psd(A):
     w, q = sym_eig(A)
     if not w[0] >= -tol:
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
-    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
+    root = matmul(q * np.sqrt(np.clip(w, 0.0, None)), q.conj().T)
     return SymMatrix.from_array(root, tol=1e-10)

@@ -41,3 +41,17 @@ def rel_err(value, exact):
     """|value - exact| / |exact| as a float, for a float value."""
     with mpmath.workdps(DPS):
         return float(abs(mpmath.mpf(value) - exact) / abs(exact))
+
+
+def restricted_norm(net, F, values):
+    """rho_F = ||M_f* restricted to span{v_x : x in F}|| at DPS digits, for
+    f taking the given values on F: sigma_max(C D* C^{-1}), with
+    V_F = C^T C the kernel Gram matrix over F and D = diag(values)."""
+    L = grounded_laplacian(net)
+    pos = {i: k for k, i in enumerate(net.x_index.tolist())}
+    rows = [pos[net.index(x)] for x in F]
+    with mpmath.workdps(DPS):
+        V = L**-1
+        C = mpmath.cholesky(mpmath.matrix([[V[i, j] for j in rows] for i in rows])).T
+        T = C * mpmath.diag([mpmath.conj(mpmath.mpmathify(v)) for v in values]) * C**-1
+        return max(mpmath.svd(T, compute_uv=False))

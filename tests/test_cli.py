@@ -437,6 +437,18 @@ def test_csv_format(capsys):
         assert [float(cell) for cell in line.split(",")]  # plain numbers, not numpy reprs
 
 
+def test_csv_format_prints_the_root_after_v(capsys):
+    argv = ["gram", "--gen", "path:4", "--F", "1,3", "--sqrt"]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,1,3" and lines[3] == "sqrt,1,3" and len(lines) == 6
+    doc = json.loads(run(capsys, *argv, "--format", "json")[1])
+    for head, table, key in ((0, lines[1:3], "V"), (3, lines[4:6], "sqrt")):
+        assert [ln.split(",")[0] for ln in table] == ["1", "3"], lines[head]
+        assert [[float(c) for c in ln.split(",")[1:]] for ln in table] == doc[key]
+
+
 @pytest.mark.parametrize(
     "argv,first,row",
     [

@@ -12,6 +12,7 @@ from energynet.numkernel import (
     cho_solve,
     cholesky,
     default_psd_tol,
+    matmul,
     top_eigpair,
 )
 
@@ -26,6 +27,29 @@ def random_psd(rng, n, allow_singular=True):
     if allow_singular and n > 1:
         eigs[rng.integers(0, n)] = 0.0
     return q @ np.diag(eigs) @ q.T
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dtypes", [(float, float), (float, complex), (complex, float),
+                                    (complex, complex)])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_matmul_matches_numpy(layout, dtypes, cols):
+    rng = np.random.default_rng(5)
+
+    def draw(shape, dtype):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    a = draw((7, 10), dtypes[0])
+    a = {"C": a[:, :5], "F": np.asfortranarray(a[:, :5]), "strided": a[:, ::2]}[layout]
+    if layout == "C":
+        a = np.ascontiguousarray(a)
+    b = draw(5 if cols is None else (5, cols), dtypes[1])
+    got = matmul(a, b)
+    assert got.shape == (a @ b).shape and np.iscomplexobj(got) == np.iscomplexobj(a @ b)
+    assert np.allclose(got, a @ b, rtol=1e-14, atol=1e-14)
+    if cols:
+        assert np.allclose(matmul(a, np.asfortranarray(b)), a @ b, rtol=1e-14, atol=1e-14)
 
 
 def test_spd_solve_identity():

@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import energynet as en
 
@@ -58,3 +61,21 @@ def test_untested_lines_on_one_test_file(tmp_path):
     assert _line_of(multop, "nonlocal gram") not in listed
     assert _line_of(multop, "U, gram = gram.U, None") in listed
     assert any(ln.startswith("1 passed") for ln in lines)
+
+
+def test_bench_pairs_summary():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = [0.30, 0.32, 0.29, 0.31, 0.30]
+    change = [0.24, 0.25, 0.30, 0.23, 0.24]
+    pairs = [({"t": b, "r": 1 / b}, {"t": c, "r": 1 / b}) for b, c in zip(base, change)]
+    lower, higher = bench_pairs.summary(
+        pairs, [{"name": "t", "better": "lower"}, {"name": "r", "better": "higher"}])
+    assert lower["base"] == pytest.approx((0.30, 0.30, 0.31))
+    assert lower["change"] == pytest.approx((0.24, 0.24, 0.25))
+    # the third pair is a loss; the medians differ by 0.06, the base IQR is 0.01
+    assert (lower["wins"], lower["pairs"], lower["beyond_iqr"]) == (4, 5, True)
+    # equal values are ties, which count for neither side
+    assert (higher["wins"], higher["beyond_iqr"]) == (0, False)
+    assert bench_pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
