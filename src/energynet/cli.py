@@ -9,6 +9,7 @@ error (an invariant check failed).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -88,7 +89,7 @@ def _parse_vector(net, spec):
 
 
 def _parse_exhaustion(net, spec):
-    xs = [net.vertices[i] for i in net.x_index.tolist()]
+    xs = net.x_vertices
     if spec is None or spec == "all":
         return multop.default_exhaustion(net)
     try:
@@ -110,8 +111,7 @@ def _emit(doc, fmt, csv_rows=None):
             csv_rows = [("key", "value")] + [
                 (k, v) for k, v in doc.items() if not isinstance(v, (dict, list))
             ]
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         _pretty(doc)
     sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit

@@ -34,7 +34,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply
-from .numkernel import SymMatrix, cho_solve, cholesky, spd_solve, sqrtm_psd
+from .numkernel import SymMatrix, cho_solve, cholesky, spd_solve, sqrtm_psd, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +72,7 @@ def _edge_energy(net, uvals, vvals):
 def ground(net, values):
     """Build an EnergyVector: subtract the origin value, compute the energy."""
     vals = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
-    vals = vals - vals[net.origin_index]
-    if np.iscomplexobj(vals) and not np.any(vals.imag):
-        vals = vals.real
-    vals.setflags(write=False)
+    vals = stored(vals - vals[net.origin_index])
     energy = float(np.real(_edge_energy(net, vals, vals)))
     return EnergyVector(net, vals, energy)
 

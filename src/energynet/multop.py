@@ -35,7 +35,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, _by_parts, cho_solve, matmul, psd_check, top_eigpair
+from .numkernel import SymMatrix, _by_parts, cho_solve, matmul, psd_check, stored, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -48,7 +48,7 @@ class Multiplier(VertexFunction):
 
     @classmethod
     def constant(cls, net, c):
-        return cls.from_dict(net, dict.fromkeys(net.vertices, c))
+        return cls(net, stored(np.full(net.n, c, dtype=complex)))
 
     @classmethod
     def from_kernel(cls, net, x):
@@ -115,7 +115,7 @@ def _nested_levels(m, exhaustion=None):
         for F in exhaustion:
             # a principal block of a Hermitian matrix is Hermitian: no re-check
             v = psd_check(SymMatrix(S.a[: len(F), : len(F)], S.defect))
-            yield v if v.is_psd else replace(v, witness=v.witness[[pos[x] for x in F]])
+            yield v if v.is_psd else replace(v, witness=stored(v.witness[[pos[x] for x in F]]))
 
     def sufficiency():
         R = np.full(m.net.n, np.nan)
@@ -366,7 +366,7 @@ class MultiplierReport:
 
 def default_exhaustion(net):
     """Nested prefixes of X in canonical order, doubling in size."""
-    xs = [net.vertices[i] for i in net.x_index.tolist()]
+    xs = net.x_vertices
     sizes = []
     k = 1
     while k < len(xs):

@@ -4,7 +4,8 @@ A network is a finite connected graph with symmetric positive conductances
 and a distinguished origin vertex.  Vertices keep their insertion order and
 all matrix-valued quantities downstream index vertices by that order.  The
 network owns X = G \\ {o}, the index set of the reproducing kernel:
-Network.x_index lists its dense indices, and no other module rebuilds it.
+Network.x_index lists its dense indices and Network.x_vertices its ids, and
+no other module rebuilds either.
 
 A function on the vertices is one type, VertexFunction: the network and its
 values in vertex order.  Multipliers (multop.Multiplier) are its subclass
@@ -31,7 +32,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-from .numkernel import SymMatrix, cholesky
+from .numkernel import SymMatrix, cholesky, stored
 
 
 class Network:
@@ -42,7 +43,8 @@ class Network:
     The adjacency is stored once, as CSR arrays: the neighbours of vertex i
     are ``indices[indptr[i]:indptr[i + 1]]``, in edge order, with their
     conductances at the same positions of ``weights``.  ``x_index`` holds
-    the dense indices of X = G \\ {o} in vertex order, read-only.
+    the dense indices of X = G \\ {o} in vertex order, read-only, and
+    ``x_vertices`` the ids of X in the same order.
     """
 
     def __init__(self, vertices, origin, edges):
@@ -51,9 +53,9 @@ class Network:
         self.origin = origin
         self._index = index = {v: k for k, v in enumerate(self.vertices)}
         self.n = len(self.vertices)
-        self.origin_index = index[origin]
-        self.x_index = np.delete(np.arange(self.n), self.origin_index)
-        self.x_index.setflags(write=False)
+        self.origin_index = o = index[origin]
+        self.x_index = stored(np.delete(np.arange(self.n), o))
+        self.x_vertices = self.vertices[:o] + self.vertices[o + 1 :]
         self.edges = tuple(edges)
         rec = np.fromiter(
             ((index[x], index[y], w) for x, y, w in self.edges),
@@ -86,9 +88,7 @@ class Network:
     def laplacian_block(self, idx):
         """The principal block of laplacian_matrix() on the dense indices idx,
         read-only; both triangles come from the same weights, so its defect is 0."""
-        block = self.laplacian_matrix()[np.ix_(idx, idx)]
-        block.setflags(write=False)
-        return SymMatrix(block, 0.0)
+        return SymMatrix(stored(self.laplacian_matrix()[np.ix_(idx, idx)]), 0.0)
 
     @cached_property
     def grounded_factor(self):
@@ -132,10 +132,7 @@ class VertexFunction:
         vals = np.zeros(net.n, dtype=complex)
         for x, v in mapping.items():
             vals[net.index(x)] = v
-        if not np.any(vals.imag):
-            vals = vals.real.copy()  # contiguous float64, not a view into vals
-        vals.setflags(write=False)
-        return cls(net, vals)
+        return cls(net, stored(vals))
 
     @classmethod
     def delta(cls, net, x):
@@ -143,7 +140,7 @@ class VertexFunction:
 
     @classmethod
     def ones(cls, net):
-        return cls(net, np.ones(net.n))
+        return cls(net, stored(np.ones(net.n)))
 
 
 def build_network(edge_list, origin):
@@ -197,7 +194,7 @@ def laplacian_apply(net, u):
     from the CSR rows (every row is nonempty: a network is connected)."""
     v = u.values
     Lv = net.conductance * v - np.add.reduceat(net.weights * v[net.indices], net.indptr[:-1])
-    return VertexFunction(net, Lv)
+    return VertexFunction(net, stored(Lv))
 
 
 def generate(family, size, conductance=1.0):

@@ -2,13 +2,14 @@
 eigenpair of a psd operator, psd certification and matrix square roots.
 
 Everything here is a pure function on small dense matrices (target scale
-n <= ~2000); real inputs stay on the real code path, and a complex vector
-meets a real matrix only by parts (`_by_parts`: two real calls, no complex
-copy of the matrix), in every `cho_solve` and in the norm trace.  Only
-`sym_eig` computes a full eigenbasis: `top_eigpair` runs a Krylov iteration on a
-matrix-vector product and `psd_check` a subset eigensolve for the smallest
-eigenpair.  Matrix arguments are `SymMatrix` only, checked Hermitian and
-finite once, by `SymMatrix.from_array`, where a matrix enters.
+n <= ~2000).  Two rules hold package-wide: every kept array goes through
+`stored` (read-only, and contiguous float64 where its imaginary part is 0),
+and a complex vector meets every matrix by parts (`_by_parts`: two calls, no
+complex copy of a real matrix).  Only `sym_eig` computes a full eigenbasis:
+`top_eigpair` runs a Krylov iteration on a matrix-vector product and
+`psd_check` a subset eigensolve for the smallest eigenpair.  Matrix
+arguments are `SymMatrix` only, checked Hermitian and finite once, by
+`SymMatrix.from_array`, where a matrix enters.
 
 One BLAS: every dense matrix product (`matmul`, `gemv` in `top_eigpair`) and
 eigensolver here runs through `scipy.linalg`, its BLAS and LAPACK.  numpy and
@@ -24,7 +25,6 @@ lengths.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,15 @@ import scipy.linalg
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
 
 HERMITIAN_TOL = 1e-12
+
+
+def stored(a):
+    """A freshly made array a as the package keeps it: a contiguous float64
+    copy if a is complex with zero imaginary part, and read-only."""
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        a = a.real.copy()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -57,11 +66,7 @@ class SymMatrix:
         defect = float(np.abs(arr - arr.conj().T).max() / scale)
         if defect > tol:
             raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-        herm = arr / 2 + arr.conj().T / 2  # halves first: no overflow near the float maximum
-        if np.iscomplexobj(herm) and not np.any(herm.imag):
-            herm = herm.real
-        herm.setflags(write=False)
-        return cls(herm, defect)
+        return cls(stored(arr / 2 + arr.conj().T / 2), defect)  # halves first: cannot overflow
 
 
 @dataclass(frozen=True)
@@ -75,22 +80,21 @@ class PsdVerdict:
 def _fix_sign(v):
     # the first nonzero entry of a nonzero v made positive, for reproducible witnesses
     first = v[np.flatnonzero(v)[0]]
-    v = v * (np.conj(first) / abs(first))
-    return v if np.any(v.imag) else v.real
+    return stored(v * (np.conj(first) / abs(first)))
 
 
 def cholesky(A):
     """Upper-triangular U with A = U^H U, zeros below its diagonal: the one
-    Cholesky factorization of the package."""
+    Cholesky factorization of the package; read-only."""
     try:
-        return scipy.linalg.cholesky(A.a)
+        return stored(scipy.linalg.cholesky(A.a))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
 
 def _by_parts(op):
-    """A real linear map op, extended to complex vectors as two real calls:
-    no complex copy of its real matrix."""
+    """A linear map op, applied to a complex vector as two calls on its real
+    and imaginary parts: no complex copy of a real matrix."""
     return lambda y: op(y.real) + 1j * op(y.imag) if np.iscomplexobj(y) else op(y)
 
 
@@ -106,8 +110,7 @@ def _f_ordered(a):
 
 def matmul(a, b):
     """a @ b for a 2-D a and a 1-D or 2-D b, by scipy's BLAS (gemv or gemm):
-    the one OpenBLAS of the module docstring.  A real a meets a complex b by
-    parts."""
+    the one OpenBLAS of the module docstring.  A complex b meets a by parts."""
     A, ta = _f_ordered(a)
 
     def op(y):
@@ -116,14 +119,13 @@ def matmul(a, b):
         B, tb = _f_ordered(y)
         return scipy.linalg.get_blas_funcs("gemm", (A, B))(1.0, A, B, trans_a=ta, trans_b=tb)
 
-    return op(b) if np.iscomplexobj(A) else _by_parts(op)(b)
+    return _by_parts(op)(b)
 
 
 def cho_solve(U, rhs):
-    """Solve U^H U x = rhs for the array U that `cholesky` returns, by parts
-    against a real factor."""
-    solve = functools.partial(scipy.linalg.cho_solve, (U, False))
-    return solve(rhs) if np.iscomplexobj(U) else _by_parts(solve)(rhs)
+    """Solve U^H U x = rhs for the array U that `cholesky` returns, a
+    complex rhs by parts."""
+    return _by_parts(lambda y: scipy.linalg.cho_solve((U, False), y))(rhs)
 
 
 def spd_solve(A, b):

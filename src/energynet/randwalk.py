@@ -49,7 +49,7 @@ def escape_prob_exact(net, x):
     if xi == oi:
         raise UnknownVertex("escape probability from the origin is undefined")
     d = VertexFunction.delta(net, net.origin)
-    interior = [net.vertices[i] for i in net.x_index.tolist() if i != xi]
+    interior = [y for y in net.x_vertices if y != x]
     h = d.values - fin_projection(net, d, interior).values if interior else d.values
     row = slice(net.indptr[xi], net.indptr[xi + 1])
     return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))

@@ -26,14 +26,19 @@ def grounded_laplacian(net):
     return L
 
 
+def kernel_gram(net):
+    """V_X = L_X^{-1} at DPS digits, rows and columns in the order of net.x_index."""
+    with mpmath.workdps(DPS):
+        return grounded_laplacian(net) ** -1
+
+
 def resistances_and_escapes(net):
     """({x: R(x)}, {x: P[x -> o]}) over X, at DPS digits."""
     L = grounded_laplacian(net)
-    xs = [net.vertices[i] for i in net.x_index.tolist()]
+    V = kernel_gram(net)
     with mpmath.workdps(DPS):
-        V = L**-1
-        R = {x: V[k, k] for k, x in enumerate(xs)}
-        P = {x: 1 / (L[k, k] * R[x]) for k, x in enumerate(xs)}
+        R = {x: V[k, k] for k, x in enumerate(net.x_vertices)}
+        P = {x: 1 / (L[k, k] * R[x]) for k, x in enumerate(net.x_vertices)}
     return R, P
 
 
@@ -47,11 +52,10 @@ def restricted_norm(net, F, values):
     """rho_F = ||M_f* restricted to span{v_x : x in F}|| at DPS digits, for
     f taking the given values on F: sigma_max(C D* C^{-1}), with
     V_F = C^T C the kernel Gram matrix over F and D = diag(values)."""
-    L = grounded_laplacian(net)
+    V = kernel_gram(net)
     pos = {i: k for k, i in enumerate(net.x_index.tolist())}
     rows = [pos[net.index(x)] for x in F]
     with mpmath.workdps(DPS):
-        V = L**-1
         C = mpmath.cholesky(mpmath.matrix([[V[i, j] for j in rows] for i in rows])).T
         T = C * mpmath.diag([mpmath.conj(mpmath.mpmathify(v)) for v in values]) * C**-1
         return max(mpmath.svd(T, compute_uv=False))

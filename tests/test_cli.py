@@ -470,6 +470,20 @@ def test_csv_format_without_pretty_fallback(capsys, argv, first, row):
     assert all(line.count(",") == 1 for line in lines)
 
 
+def test_csv_format_quotes_vertex_ids(tmp_path, capsys):
+    # ids holding the delimiter or the quote character are quoted, not split
+    path = tmp_path / "ids.json"
+    edges = [[0, "a,b", 1.0], ["a,b", 2, 2.0], [2, 'say "hi"', 1.0]]
+    path.write_text(json.dumps({"origin": 0, "edges": edges}))
+    for vertex in ("2", "a,b"):
+        code, out = run(capsys, "kernel", "--net", str(path), "--vertex", vertex, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows)
+        assert [row[0] for row in rows] == ["vertex", "0", "a,b", "2", 'say "hi"']
+        assert all(float(row[1]) >= 0 for row in rows[1:])
+
+
 def test_non_finite_conductance_exits_2(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text('{"origin": 0, "edges": [[0, 1, 1e400], [1, 2, 1.0]]}')

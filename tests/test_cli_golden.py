@@ -3,7 +3,9 @@
 Every command of `grid()` runs in-process and is compared with the record
 in data/cli_golden.json: exit code, stderr, JSON keys, strings, bools and
 ints exactly, floats to 1e-12 relative (absolute below 1), so that another
-BLAS build passes.  A change that should not move any output passes this
+BLAS build passes.  Non-JSON stdout is kept as text: CSV is compared cell by
+cell, cells that parse as floats by the same rule and the rest exactly, and
+pretty text exactly.  A change that should not move any output passes this
 file unchanged.
 
     PYTHONPATH=src python tests/test_cli_golden.py           # SHA-256 of the raw outputs
@@ -15,6 +17,7 @@ intended change of output.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -40,6 +43,20 @@ def grid():
             yield ["mult", *g, "--f", f, "--bound", "1.7"]
         yield ["walk", *g, "--vertex", "3", "--samples", "20000", "--seed", "5"]
         yield ["banach", *g, "--u", "kernel:3", "--u2", "delta:2"]
+    for net in NETS[:2]:
+        for fmt in ("csv", "pretty"):
+            g = ["--gen", net, "--format", fmt]
+            yield ["kernel", *g, "--vertex", "3"]
+            yield ["gram", *g, "--F", "1,3,4", "--sqrt"]
+            yield ["mult", *g, "--f", "kernel:3", "--estimate", "--trace"]
+            yield ["walk", *g, "--vertex", "3", "--samples", "20000", "--seed", "5"]
+            yield ["banach", *g, "--u", "kernel:3", "--u2", "delta:2"]
+    # errors: exit 2 with one line on stderr
+    g = ["--gen", NETS[0], "--format", "json"]
+    yield ["gram", *g, "--F", "1,1"]
+    yield ["mult", *g, "--f", "kernel:3", "--bound", "-1"]
+    yield ["kernel", *g, "--vertex", "99"]
+    yield ["mult", *g, "--f", "const:1e200", "--estimate"]
 
 
 def run(argv):
@@ -51,8 +68,30 @@ def run(argv):
 
 
 def record(argv):
+    """run(argv) as a record: JSON stdout parsed, any other stdout as text."""
     code, out, err = run(argv)
-    return {"argv": argv, "code": code, "stdout": json.loads(out) if out else None, "stderr": err}
+    if argv[argv.index("--format") + 1] == "json":
+        out = json.loads(out) if out else None
+    return {"argv": argv, "code": code, "stdout": out, "stderr": err}
+
+
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def assert_same_csv(got, want):
+    """CSV text cell by cell: cells that parse as floats to 1e-12 relative
+    (absolute below 1), the rest exactly."""
+    got, want = (list(csv.reader(io.StringIO(t))) for t in (got, want))
+    assert [len(r) for r in got] == [len(r) for r in want], "csv: row shapes differ"
+    for k, (grow, wrow) in enumerate(zip(got, want)):
+        for j, (g, w) in enumerate(zip(grow, wrow)):
+            if g != w:  # equal text passes, nan and inf included
+                assert _float(w) is not None, f"csv[{k}][{j}]: {g!r} != {w!r}"
+                assert_same(_float(g), _float(w), f"csv[{k}][{j}]")
 
 
 def assert_same(got, want, where="doc"):
@@ -83,7 +122,10 @@ def test_cli_output_matches_record(want):
     got = record(want["argv"])
     assert got["code"] == want["code"]
     assert got["stderr"] == want["stderr"]
-    assert_same(got["stdout"], want["stdout"], "stdout")
+    if want["argv"][want["argv"].index("--format") + 1] == "csv":
+        assert_same_csv(got["stdout"], want["stdout"])
+    else:
+        assert_same(got["stdout"], want["stdout"], "stdout")
 
 
 if __name__ == "__main__":

@@ -174,6 +174,14 @@ def test_x_index_is_x_in_vertex_order_and_read_only():
     np.testing.assert_allclose(net.grounded_factor.T @ net.grounded_factor, block, atol=1e-14)
 
 
+def test_x_vertices_are_the_ids_of_x_index():
+    net = en.build_network([("a", "o", 1.0), ("o", "b", 2.0), ("b", "c", 3.0)], origin="o")
+    assert net.x_vertices == ("a", "b", "c")
+    for origin in range(4):
+        net = en.build_network([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], origin=origin)
+        assert net.x_vertices == tuple(net.vertices[i] for i in net.x_index.tolist())
+
+
 def test_conductance_is_laplacian_diagonal(test_net):
     L = test_net.laplacian_matrix()
     for i, x in enumerate(test_net.vertices):

@@ -95,6 +95,62 @@ def test_cho_solve_complex_rhs_against_real_factor():
     np.testing.assert_allclose(x, np.linalg.solve(A.a.astype(complex), b), rtol=1e-12)
 
 
+def test_cho_solve_against_a_complex_factor():
+    # the factor of a complex Hermitian positive definite matrix, by parts
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    A = SymMatrix.from_array(G @ G.conj().T + 9 * np.eye(9))
+    U = cholesky(A)
+    assert np.iscomplexobj(U)
+    for b in (rng.standard_normal(9), rng.standard_normal(9) + 1j * rng.standard_normal(9),
+              rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))):
+        want = np.linalg.solve(A.a, b)
+        for x in (cho_solve(U, b), en.spd_solve(A, b)):
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+KINDS = {
+    "real": lambda v: v,
+    "complex": lambda v: v + 1j * v[::-1],
+    "zero-imag": lambda v: v.astype(complex),
+    "integer": lambda v: np.rint(4 * v).astype(int),
+}
+
+
+def _kept_arrays(kind):
+    """(name, array) for each array that a constructor keeps, from inputs of one kind."""
+    from energynet.multop import Multiplier, certify_bound
+    from energynet.network import VertexFunction, laplacian_apply
+
+    net = en.generate("binary_tree", 2)
+    v = KINDS[kind](np.linspace(0.5, 2.0, net.n))
+    H = np.outer(v, np.conj(v))
+    X = net.x_vertices
+    yield "from_dict", VertexFunction.from_dict(net, dict(zip(net.vertices, v.tolist()))).values
+    yield "ones", VertexFunction.ones(net).values
+    yield "constant", Multiplier.constant(net, v.tolist()[1]).f
+    yield "ground", en.ground(net, v).values
+    yield "laplacian_apply", laplacian_apply(net, VertexFunction(net, v)).values
+    yield "from_array", SymMatrix.from_array(H).a
+    yield "laplacian_block", net.laplacian_block(net.x_index).a
+    yield "grounded_factor", net.grounded_factor
+    yield "GramMatrix.U", en.gram_matrix(net, X).U
+    eye = np.eye(net.n, dtype=int)
+    yield "cholesky", cholesky(SymMatrix.from_array(H + net.n * eye))
+    yield "psd_check witness", en.psd_check(SymMatrix.from_array(eye - H)).witness
+    (cert,) = certify_bound(Multiplier(net, v), 0.0, [X])
+    yield "certify witness", cert.witness
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kept_arrays_are_read_only_contiguous_and_real_when_they_can_be(kind):
+    for name, a in _kept_arrays(kind):
+        assert not a.flags.writeable, name
+        assert a.flags.c_contiguous or a.flags.f_contiguous, name
+        if not np.any(np.imag(a)):
+            assert a.dtype == np.float64, (name, a.dtype)
+
+
 def test_sym_eig_values():
     w, q = en.sym_eig(sym([[1, 1], [1, 2]]))
     assert np.allclose(w, [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])

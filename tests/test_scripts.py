@@ -79,3 +79,39 @@ def test_bench_pairs_summary():
     # equal values are ties, which count for neither side
     assert (higher["wins"], higher["beyond_iqr"]) == (0, False)
     assert bench_pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_settable_values_on_a_fixed_snippet(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "def f(a, b=1, *args, c, d=None, **kw):\n"
+        "    return lambda x, y=2: x\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    p: int\n"
+        "    q: int = 3\n"
+        "    r: list = field(default_factory=list)\n"
+        "    s: object = field(repr=False)\n"
+        "\n"
+        "class B:\n"
+        "    t: int = 4\n"
+        "    def g(self, u=5):\n"
+        "        pass\n"
+    )
+    lines = run_script("settable_values.py", str(snippet))
+    assert [ln.split(" ", 1)[1] for ln in lines[:-1]] == [
+        "f.b = 1", "f.d = None", "<lambda>.y = 2", "A.q = 3", "A.r = field(default_factory=list)",
+        "g.u = 5",
+    ]
+    assert [ln.split(" ", 1)[0].rsplit(":", 1)[1] for ln in lines[:-1]] == [
+        "3", "3", "4", "9", "10", "15"]
+    assert lines[-1] == "total: 6"
+
+
+def test_settable_values_of_the_package():
+    lines = run_script("settable_values.py")
+    assert all(ln.startswith("src/energynet/") for ln in lines[:-1])
+    assert lines[-1] == f"total: {len(lines) - 1}"
