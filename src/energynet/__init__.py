@@ -2,6 +2,15 @@
 effective resistance, Gram matrices, multiplication-operator analysis, and
 conductance-weighted random walks."""
 
+from .checks import (
+    bisect_bound,
+    hermitian_defect,
+    lap_pairing_check,
+    normalized_projections,
+    rank_one_identities,
+    reproducing_check,
+    truncation_consistency,
+)
 from .energy import (
     EnergyVector,
     GramMatrix,
@@ -15,9 +24,7 @@ from .energy import (
     gram_matrix,
     ground,
     zero_vector,
-    lap_pairing_check,
     pointwise_product,
-    reproducing_check,
     sup_norm,
 )
 from .multop import (
@@ -26,16 +33,11 @@ from .multop import (
     adjoint_on_kernel,
     analyze,
     apply,
-    bisect_bound,
     certify_bound,
-    hermitian_defect,
-    normalized_projections,
     point_mass_norm,
-    rank_one_identities,
     restricted_norm,
     s_matrix,
     sufficiency_bound,
-    truncation_consistency,
 )
 from .network import (
     Network,

@@ -195,19 +195,6 @@ def delta_gram(net, F):
     return net.laplacian_block([net.index(x) for x in F])
 
 
-def reproducing_check(net, x, u):
-    """|<v_x, u> - u(x)| for the grounded representative of u."""
-    vx = energy_kernel(net, x)
-    return float(abs(energy_form(vx, u) - u.values[net.index(x)]))
-
-
-def lap_pairing_check(net, x, u):
-    """|<delta_x, u> - (laplacian u)(x)|."""
-    dx = delta(net, x)
-    lap = laplacian_apply(net, u)
-    return float(abs(energy_form(dx, u) - lap.values[net.index(x)]))
-
-
 def fin_projection(net, u, F):
     """Energy-orthogonal projection of u onto span{delta_x : x in F}.
 

@@ -1,12 +1,8 @@
 """Multiplication operators on the energy space: pointwise action, adjoints,
 restricted norms and psd boundedness certificates over a nested exhaustion
 F_1 c ... c F_m (one Gram matrix over F_m and its Cholesky factor for the
-whole trace), closed-form point-mass norms, rank-one operator
-identities, and truncation consistency checks.
-
-Where matrices are needed, a grounded u is written in l2 coordinates as
-R u|X, with L_X = R^T R the network's grounded Cholesky factor: an isometry,
-under which energy adjoints are conjugate transposes.
+whole trace), closed-form point-mass norms and the sufficiency bound.  The
+checks of the operator identities live in `energynet.checks`.
 """
 
 from __future__ import annotations
@@ -17,25 +13,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrmv
 
-from .energy import (
-    _gram_and_columns,
-    delta,
-    effective_resistance,
-    energy_form,
-    energy_kernel,
-    gram_matrix,
-    ground,
-    kernel_columns,
-)
-from .errors import (
-    InsufficientEnclosure,
-    InvalidInput,
-    InvariantViolation,
-    NetworkMismatch,
-    UnknownVertex,
-)
+from .energy import effective_resistance, energy_kernel, gram_matrix, ground, kernel_columns
+from .errors import InvalidInput, InvariantViolation, NetworkMismatch, UnknownVertex
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, _by_parts, cho_solve, matmul, psd_check, stored, top_eigpair
+from .numkernel import SymMatrix, _by_parts, matmul, psd_check, stored, top_eigpair
 
 
 class Multiplier(VertexFunction):
@@ -48,7 +29,7 @@ class Multiplier(VertexFunction):
 
     @classmethod
     def constant(cls, net, c):
-        return cls(net, stored(np.full(net.n, c, dtype=complex)))
+        return cls(net, np.full(net.n, c, dtype=complex))
 
     @classmethod
     def from_kernel(cls, net, x):
@@ -75,11 +56,6 @@ def adjoint_on_kernel(m, x):
     return complex(np.conj(m[x])) * energy_kernel(m.net, x)
 
 
-def hermitian_defect(m, u, v):
-    """<M u, v> - <u, M v>; zero for all pairs iff f is constant real."""
-    return energy_form(apply(m, u), v) - energy_form(u, apply(m, v))
-
-
 def _nested_order(net, exhaustion):
     """Checked levels of a nested exhaustion (default_exhaustion if None), F_m in level order."""
     exhaustion = [tuple(F) for F in (default_exhaustion(net) if exhaustion is None else exhaustion)]
@@ -91,7 +67,7 @@ def _nested_order(net, exhaustion):
     return exhaustion, tuple(dict.fromkeys(x for F in exhaustion for x in F))
 
 
-def _nested_levels(m, exhaustion=None):
+def _nested_levels(m, exhaustion):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
     a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
@@ -219,126 +195,6 @@ def _sufficiency_bound(m, R):
 
 
 # ---------------------------------------------------------------------------
-# matrix representations in the l2 coordinates of the grounded factor
-
-def _iso(net, vals):
-    """R u|X for L_X = R^T R: an isometry of the energy space onto l2, for
-    one grounded function or one per column of an n x k array."""
-    return net.grounded_factor @ vals[net.x_index]
-
-
-def _mult_matrix(net, f):
-    """M_f in l2 coordinates, R diag(f|X) R^{-1}; its energy adjoint is the
-    conjugate transpose."""
-    R = net.grounded_factor
-    # L_X^{-1} R^T = R^{-1}
-    return (R * f[net.x_index]) @ cho_solve(R, R.T)
-
-
-def _ket(a, b):
-    """|a><b| for l2 coordinate vectors a, b."""
-    return np.outer(a, np.conj(b))
-
-
-def _worst(D, Y):
-    """max over the columns y of Y of ||D y|| / (1 + ||y||)."""
-    return float(np.max(np.linalg.norm(D @ Y, axis=0) / (1.0 + np.linalg.norm(Y, axis=0))))
-
-
-def rank_one_identities(net, x, y):
-    """Check M_x = |delta_x><v_x| and the product relations
-    M_x* M_y = <d_x, d_y> |v_x><v_y| and M_x M_y* = <v_x, v_y> |d_x><d_y|
-    on the kernel basis.  Returns the maximum relative energy-norm
-    discrepancy."""
-    _require_in_X(net, x, y)
-    K = kernel_columns(net, net.x_index)
-    # column of z: its dense index, less one past the origin
-    vx, vy = (ground(net, K[:, i - (i > net.origin_index)]) for i in map(net.index, (x, y)))
-    deltax, deltay = delta(net, x), delta(net, y)
-    Y = _iso(net, K)
-    kvx, kvy, kdx, kdy = (_iso(net, u.values) for u in (vx, vy, deltax, deltay))
-
-    Mx, My = _mult_matrix(net, deltax.values), _mult_matrix(net, deltay.values)
-    dd = energy_form(deltax, deltay)
-    vv = energy_form(vx, vy)
-    pairs = [
-        (Mx, _ket(kdx, kvx)),
-        (Mx.conj().T, _ket(kvx, kdx)),
-        (Mx.conj().T @ My, dd * _ket(kvx, kvy)),
-        (Mx @ My.conj().T, vv * _ket(kdx, kdy)),
-    ]
-    return max(_worst(lhs - rhs, Y) for lhs, rhs in pairs)
-
-
-def normalized_projections(net, x, y):
-    """Verify the unit rank-one projections U_x = |u_x><u_x| (kernel
-    direction) and D_x = |d_x><d_x| (Dirac direction): idempotence, the
-    escape-probability scalings against M_x* M_x and M_x M_x*, and the four
-    displayed product rules.  Returns the max operator-norm residual."""
-    _require_in_X(net, x, y)
-    K = kernel_columns(net, [net.index(x), net.index(y)])
-    vx, vy = ground(net, K[:, 0]), ground(net, K[:, 1])
-    dxv, dyv = delta(net, x), delta(net, y)
-    ux, uy, dx, dy = (u * (1.0 / np.sqrt(u.energy)) for u in (vx, vy, dxv, dyv))
-    kux, kuy, kdx, kdy = (_iso(net, u.values) for u in (ux, uy, dx, dy))
-
-    Ux, Uy = _ket(kux, kux), _ket(kuy, kuy)
-    Dx, Dy = _ket(kdx, kdx), _ket(kdy, kdy)
-    Mx = _mult_matrix(net, dxv.values)
-
-    rx, ry = effective_resistance(net, x), effective_resistance(net, y)
-    cx, cy = total_conductance(net, x), total_conductance(net, y)
-    p_esc = 1.0 / (cx * rx)
-    residuals = [
-        Ux @ Ux - Ux,
-        Dx @ Dx - Dx,
-        Ux - p_esc * (Mx.conj().T @ Mx),
-        Dx - p_esc * (Mx @ Mx.conj().T),
-        Ux @ Uy - (energy_form(vx, vy) / np.sqrt(rx * ry)) * _ket(kux, kuy),
-        Ux @ Dy - energy_form(ux, dy) * _ket(kux, kdy),
-        Dx @ Uy - energy_form(dx, uy) * _ket(kdx, kuy),
-        Dx @ Dy - (energy_form(dxv, dyv) / np.sqrt(cx * cy)) * _ket(kdx, kdy),
-    ]
-    return max(float(np.linalg.norm(r, 2)) for r in residuals)
-
-
-def truncation_consistency(m, F_n, F_m, samples=None):
-    """Verify P_n M_f P_n = P_n M_{f|F_m} P_n on sampled vectors (the kernel
-    basis by default), where P_n projects onto span{v_x : x in F_n}.  F_m
-    must contain F_n and enclose the neighbors of supp(f) inside F_n."""
-    net = m.net
-    if samples is not None:
-        samples = list(samples)
-        if any(u.net is not net for u in samples):
-            raise NetworkMismatch("multiplier and samples live on different networks")
-    (F_n, F_m), order = _nested_order(net, [F_n, F_m])
-    gram, K = _gram_and_columns(net, order)  # one solve; F_n's columns lead
-    k = len(F_n)
-    outer = set(net.index(z) for z in F_m) | {net.origin_index}
-    for z in F_n:
-        zi = net.index(z)
-        if m.f[zi] != 0 and not set(net.indices[net.indptr[zi] : net.indptr[zi + 1]]) <= outer:
-            raise InsufficientEnclosure(
-                f"neighbors of {z!r} are not contained in F_m; enlarge the outer set"
-            )
-
-    # V_{F_n} = U_k^T U_k on the leading block of the Gram factor, so
-    # C = U_k^{-1} satisfies C^T V_{F_n} C = I: Gram-Schmidt in the V metric
-    C = scipy.linalg.solve_triangular(gram.U[:k, :k], np.eye(k), check_finite=False)
-    Q = _iso(net, K[:, :k]) @ C  # orthonormal columns
-    P = Q @ Q.conj().T
-
-    chi = np.zeros(net.n)
-    chi[[net.index(z) for z in F_m]] = 1.0
-    D = P @ (_mult_matrix(net, m.f) - _mult_matrix(net, m.f * chi)) @ P
-    if samples is None:
-        Y = _iso(net, kernel_columns(net, net.x_index))
-    else:
-        Y = _iso(net, np.column_stack([u.values for u in samples]))
-    return _worst(D, Y)
-
-
-# ---------------------------------------------------------------------------
 # report assembly
 
 @dataclass
@@ -419,25 +275,3 @@ def analyze(m, exhaustion=None, bound=None):
     return MultiplierReport(lower, best_lower, upper, certs, verdict)
 
 
-def bisect_bound(m, exhaustion=None, hi=None, tol=1e-8):
-    """Smallest b (to absolute tolerance) at which certify_bound passes on
-    the exhaustion, bisected on [0, hi]; hi defaults to sufficiency_bound."""
-    certify, _, sufficiency = _nested_levels(m, exhaustion)
-
-    def certified(b):
-        return all(v.is_psd for v in certify(b))
-
-    if hi is None:
-        hi = sufficiency()
-    lo = 0.0
-    if certified(lo):
-        return lo
-    if not certified(hi):
-        raise InvalidInput(f"upper bracket {hi} is not certified; widen it")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -123,6 +123,10 @@ class VertexFunction:
     net: Network
     values: np.ndarray
 
+    def __post_init__(self):
+        # a read-only copy: a later write to the caller's array changes nothing here
+        object.__setattr__(self, "values", stored(np.array(self.values)))
+
     def __getitem__(self, x):
         return self.values[self.net.index(x)]
 
@@ -132,7 +136,7 @@ class VertexFunction:
         vals = np.zeros(net.n, dtype=complex)
         for x, v in mapping.items():
             vals[net.index(x)] = v
-        return cls(net, stored(vals))
+        return cls(net, vals)
 
     @classmethod
     def delta(cls, net, x):
@@ -140,7 +144,7 @@ class VertexFunction:
 
     @classmethod
     def ones(cls, net):
-        return cls(net, stored(np.ones(net.n)))
+        return cls(net, np.ones(net.n))
 
 
 def build_network(edge_list, origin):
@@ -194,7 +198,7 @@ def laplacian_apply(net, u):
     from the CSR rows (every row is nonempty: a network is connected)."""
     v = u.values
     Lv = net.conductance * v - np.add.reduceat(net.weights * v[net.indices], net.indptr[:-1])
-    return VertexFunction(net, stored(Lv))
+    return VertexFunction(net, Lv)
 
 
 def generate(family, size, conductance=1.0):

@@ -24,7 +24,7 @@ class WalkEstimate:
     mc_stderr: float
     samples: int
     seed: int
-    cap_hits: int = 0
+    cap_hits: int
 
     def to_json_dict(self):
         return asdict(self)

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 import energynet as en
-from energynet.multop import (
-    Multiplier,
+from energynet.checks import (
     bisect_bound,
-    certify_bound,
     hermitian_defect,
     normalized_projections,
-    point_mass_norm,
     rank_one_identities,
+)
+from energynet.multop import (
+    Multiplier,
+    certify_bound,
+    point_mass_norm,
     restricted_norm,
     s_matrix,
 )

@@ -207,6 +207,7 @@ _INVALID = [
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
     ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "0"],
     ["kernel", "--gen", "path:abc", "--vertex", "1"],
+    ["kernel", "--gen", "path", "--vertex", "1"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "a,b"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "2,,3"],
     ["mult", "--gen", "path:3", "--f", "const:abc"],

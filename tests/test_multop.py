@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
-from energynet import multop, numkernel
+from energynet import checks, multop, numkernel
+from energynet.checks import (
+    bisect_bound,
+    hermitian_defect,
+    normalized_projections,
+    rank_one_identities,
+    truncation_consistency,
+)
 from energynet.cli import main
 from energynet.errors import (
     InsufficientEnclosure,
@@ -20,17 +27,12 @@ from energynet.multop import (
     adjoint_on_kernel,
     analyze,
     apply,
-    bisect_bound,
     certify_bound,
     default_exhaustion,
-    hermitian_defect,
-    normalized_projections,
     point_mass_norm,
-    rank_one_identities,
     restricted_norm,
     s_matrix,
     sufficiency_bound,
-    truncation_consistency,
 )
 
 from conftest import random_energy_vector, random_network, x_vertices
@@ -572,13 +574,13 @@ def test_default_samples_one_solve(monkeypatch):
     seg = en.generate("integer_segment", 8)
     m = Multiplier.from_kernel(seg, 3)
     calls = []
-    kernel_columns = multop.kernel_columns
+    kernel_columns = checks.kernel_columns
 
     def counted(net, idx):
         calls.append(list(idx))
         return kernel_columns(net, idx)
 
-    monkeypatch.setattr(multop, "kernel_columns", counted)
+    monkeypatch.setattr(checks, "kernel_columns", counted)
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4]) <= 1e-9
     assert calls == [[1, 2, 3, 4], list(range(1, 9))]
@@ -621,8 +623,15 @@ def test_multiplier_is_vertex_function(p3):
     assert isinstance(m, en.VertexFunction) and m[1] == 1.0 and m.f is m.values
     for made in (m, Multiplier.from_dict(p3, {2: 1j}), Multiplier.constant(p3, 2.0)):
         assert not made.f.flags.writeable
-    fvals = np.array([0.0, 1.0, 2.0])
-    assert Multiplier(p3, fvals).f is fvals
+    # the constructor keeps a read-only copy: a later write to the caller's
+    # array changes neither the values nor the norm
+    fvals = np.array([0.0, 1.0, 2.0, 3.0])
+    m = Multiplier(en.generate("path", 4), fvals)
+    norm = restricted_norm(m, [1, 2, 3])
+    assert norm == pytest.approx(3.5204, abs=1e-4)
+    fvals[3] = 30.0
+    assert m[3] == 3.0 and not m.f.flags.writeable and fvals.flags.writeable
+    assert restricted_norm(m, [1, 2, 3]) == norm
 
 
 def test_from_kernel_takes_kernel_values(test_net):
@@ -725,9 +734,9 @@ def test_normalized_projections(test_net):
 
 def test_normalized_projections_resistance_once(monkeypatch):
     calls = []
-    resistance = multop.effective_resistance
+    resistance = checks.effective_resistance
     monkeypatch.setattr(
-        multop, "effective_resistance", lambda net, x: calls.append(x) or resistance(net, x)
+        checks, "effective_resistance", lambda net, x: calls.append(x) or resistance(net, x)
     )
     assert normalized_projections(en.generate("path", 5), 1, 3) <= 1e-9
     assert calls == [1, 3]
@@ -750,7 +759,7 @@ def test_truncation_consistency_solves_once(monkeypatch):
         calls.append(list(idx))
         return kernel_columns(net, idx)
 
-    monkeypatch.setattr(multop, "kernel_columns", counted)
+    monkeypatch.setattr(checks, "kernel_columns", counted)
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4], samples) <= 1e-9
     assert calls == [[1, 2, 3, 4]]
@@ -880,7 +889,7 @@ def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
         K[row, 0] += 1e-6
         return K
 
-    monkeypatch.setattr(multop, "kernel_columns", perturbed)
+    monkeypatch.setattr(checks, "kernel_columns", perturbed)
     monkeypatch.setattr(en.energy, "kernel_columns", perturbed)
     assert rank_one_identities(net, x, y) > 1e-7
     assert normalized_projections(net, x, y) > 1e-7

@@ -11,14 +11,18 @@ import textwrap
 
 import pytest
 
-from energynet import cli, multop, numkernel
+from energynet import cli, energy, multop, numkernel
 
 CLI_PATH = [
     numkernel.top_eigpair,
     numkernel.spd_solve,
     numkernel.sym_eig,
     numkernel.sqrtm_psd,
+    energy.kernel_columns,
+    energy._gram_and_columns,
+    energy._first_mismatch,
     multop._nested_levels,
+    multop._sufficiency_bound,
     cli.cmd_gram,
 ]
 PRODUCTS = {"dot", "matmul", "inner", "tensordot", "einsum"}
