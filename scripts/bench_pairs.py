@@ -1,6 +1,6 @@
 """Compare the benchmark of a base revision with the working tree, in pairs.
 
-Checks REV out into a temporary git worktree and runs
+Extracts REV with `git archive` into a temporary directory and runs
 `perfbench/run.py --workload W --seed i --seconds S` there and in the
 working tree, for i = 1 ... N.  Odd pairs run the base first, even pairs
 the working tree first, so that drift of the machine falls on both sides
@@ -8,10 +8,15 @@ alike.  It prints each pair's end-to-end metrics (the `end_to_end` list of
 BENCHMARK.json), then per metric each side's median and quartiles, the
 pairs the change wins (strictly better, in the metric's direction) and
 whether the medians differ by more than the base's interquartile range.
-The worktree is removed afterwards, also when a run fails.
+`--workload` may be given more than once.  With `--out PATH` the pairs,
+the summary rows and the machine record of perfbench/run.py go to PATH as
+JSON, one entry per workload.  The temporary directory is removed
+afterwards, also when a run fails.
 
 Usage:
     python scripts/bench_pairs.py --base HEAD --workload mult_estimate --pairs 10 --seconds 36
+    python scripts/bench_pairs.py --base HEAD --workload mult_estimate --workload walk_mc \
+        --out BENCH_<sha>.json
 """
 
 import argparse
@@ -57,7 +62,8 @@ def summary(pairs, metrics):
 
 
 def run_bench(tree, workload, seed, seconds):
-    """(metric values, failed ops) of one perfbench run in the checkout tree."""
+    """(metric values, failed ops, machine record) of one perfbench run in
+    the checkout tree."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -65,52 +71,86 @@ def run_bench(tree, workload, seed, seconds):
     )
     if done.returncode:
         raise SystemExit(f"perfbench/run.py failed in {tree}:\n{done.stderr}")
-    result = json.loads(done.stdout.splitlines()[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}, result["failed"]
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    record = json.loads(next(ln for ln in lines if ln.startswith("record "))[len("record "):])
+    return ({k: v["value"] for k, v in result["metrics"].items()}, result["failed"],
+            record["machine"])
+
+
+def git(*argv):
+    return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def compare(base_tree, workload, pairs, seconds, names):
+    """Run the pairs of one workload; returns (pairs, failed ops per side,
+    the working tree's machine record)."""
+    got_pairs, failed, machine = [], [0, 0], None
+    for i in range(1, pairs + 1):
+        sides = [(0, base_tree), (1, ROOT)]
+        got = {}
+        for side, tree in sides if i % 2 else sides[::-1]:
+            got[side], f, facts = run_bench(tree, workload, i, seconds)
+            failed[side] += f
+            machine = facts if side else machine
+        got_pairs.append((got[0], got[1]))
+        first = "base" if i % 2 else "change"
+        print(f"pair {i} ({first} first): "
+              + "  ".join(f"{n} {got[0][n]:.4g} -> {got[1][n]:.4g}" for n in names),
+              flush=True)
+    return got_pairs, failed, machine
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the git revision to compare against")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, action="append")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=36)
+    p.add_argument("--out", help="write the pairs, summary and machine record here as JSON")
     args = p.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     names = [m["name"] for m in metrics]
+    base_sha = git("rev-parse", args.base)
+    doc = {"base": base_sha, "change": {"head": git("rev-parse", "HEAD"),
+                                         "uncommitted": bool(git("status", "--porcelain"))},
+           "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     base_tree = tmp / "base"
-    subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), args.base],
-                   cwd=ROOT, check=True, capture_output=True)
-    pairs, failed = [], [0, 0]
+    base_tree.mkdir()
     try:
-        for i in range(1, args.pairs + 1):
-            sides = [(0, base_tree), (1, ROOT)]
-            got = {}
-            for side, tree in sides if i % 2 else sides[::-1]:
-                got[side], f = run_bench(tree, args.workload, i, args.seconds)
-                failed[side] += f
-            pairs.append((got[0], got[1]))
-            first = "base" if i % 2 else "change"
-            print(f"pair {i} ({first} first): "
-                  + "  ".join(f"{n} {got[0][n]:.4g} -> {got[1][n]:.4g}" for n in names),
-                  flush=True)
+        archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+        for workload in args.workload:
+            pairs, failed, machine = compare(base_tree, workload, args.pairs, args.seconds, names)
+            rows = summary(pairs, metrics)
+            doc["workloads"][workload] = {
+                "failed": {"base": failed[0], "change": failed[1]},
+                "summary": rows,
+                "runs": [{"base": b, "change": c} for b, c in pairs],
+                "machine": machine,
+            }
+            print_summary(args, workload, failed, rows)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)],
-                       cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
 
-    print(f"{args.workload}, base {args.base} against the working tree, "
+
+def print_summary(args, workload, failed, rows):
+    print(f"{workload}, base {args.base} against the working tree, "
           f"{args.pairs} pairs of {args.seconds:g} s; failed ops: base {failed[0]}, "
           f"change {failed[1]}")
     print(f"{'metric':14} {'better':6}  {'base median [q1, q3]':30}  "
           f"{'change median [q1, q3]':30}  {'wins':>6}  beyond base IQR")
-    for r in summary(pairs, metrics):
+    for r in rows:
         base, change = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (r["base"], r["change"]))
         print(f"{r['name']:14} {r['better']:6}  {base:30}  {change:30}  "
               f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['beyond_iqr'] else 'no'}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ M_x = |delta_x><v_x|, the normalized projections, truncation consistency and
 bisect_bound.  No production module imports this one.
 
 The operator checks work in l2 coordinates: a grounded u is written as
-R u|X, with L_X = R^T R the network's grounded Cholesky factor, an isometry
-under which energy adjoints are conjugate transposes (dense, O(n^3))."""
+W^T u|X, with L_X = W W^T the network's grounded factor, an isometry under
+which energy adjoints are conjugate transposes (dense, O(n^3))."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .energy import (
 from .errors import InsufficientEnclosure, InvalidInput, NetworkMismatch
 from .multop import _nested_levels, _nested_order, _require_in_X, apply
 from .network import laplacian_apply, total_conductance
-from .numkernel import cho_solve
 
 
 def reproducing_check(net, x, u):
@@ -46,17 +45,17 @@ def hermitian_defect(m, u, v):
 
 
 def _iso(net, vals):
-    """R u|X for L_X = R^T R: an isometry of the energy space onto l2, for
+    """W^T u|X for L_X = W W^T: an isometry of the energy space onto l2, for
     one grounded function or one per column of an n x k array."""
-    return net.grounded_factor @ vals[net.x_index]
+    return net.grounded_factor.T @ vals[net.x_index]
 
 
 def _mult_matrix(net, f):
-    """M_f in l2 coordinates, R diag(f|X) R^{-1}; its energy adjoint is the
-    conjugate transpose."""
-    R = net.grounded_factor
-    # L_X^{-1} R^T = R^{-1}
-    return (R * f[net.x_index]) @ cho_solve(R, R.T)
+    """M_f in l2 coordinates, W^T diag(f|X) W^{-T}; its energy adjoint is
+    the conjugate transpose."""
+    W = net.grounded_factor
+    Winv_t = scipy.linalg.solve_triangular(W, np.eye(net.n - 1), trans="T")
+    return (W.T * f[net.x_index]) @ Winv_t
 
 
 def _ket(a, b):

@@ -7,16 +7,21 @@ at the origin), an EnergyVector: the network's one function type,
 VertexFunction, plus the cached energy.  Equal classes are compared by their
 values (`np.array_equal`), not by `==`, which is identity.
 
-Cost model: each network holds the Cholesky factor of its grounded
-Laplacian L_X (Network.grounded_factor, built on first use), and every
-kernel query is a solve against that factor, whose rows are X in the order
-of Network.x_index.  The kernel Gram matrix is V_X = L_X^{-1}, so a Gram
-matrix over F costs |F| solves, a reproducing check whose pairings
-<v_x, v_y> come from one symmetric rank-|F| update over the edges, and one
-Cholesky factor of V_F, which its users read rather than refactor; nothing
-else is cached, in particular no kernel vector per vertex.  The Dirac Gram
-matrix over F is the Laplacian block on F (Network.laplacian_block), and a
-projection onto the Dirac span over F is one solve against it.
+Cost model: each network holds one factor of its grounded Laplacian,
+L_X = W W^T with W upper triangular and rows X in the order of
+Network.x_index (Network.grounded_factor, built on first use), and every
+kernel query is two triangular solves against W.  The kernel Gram matrix is
+V_X = L_X^{-1} = W^{-T} W^{-1}.  Over a prefix F of X (its first k
+vertices, as every exhaustion of the CLI is) that gives V_F = U^T U with
+U = W[:k, :k]^{-1}: one triangular inverse and one symmetric rank-k
+product, exactly symmetric, with U as its Cholesky factor.  Over any other
+F a Gram matrix costs |F| solves and one Cholesky factor of V_F.  Either
+way V_F is cross-checked by the reproducing identity, whose pairings
+<v_x, v_y> come from one symmetric rank-|F| update over the edges, and
+its users read U rather than refactor; nothing else is cached, in
+particular no kernel vector per vertex.  The Dirac Gram matrix over F is
+the Laplacian block on F (Network.laplacian_block), and a projection onto
+the Dirac span over F is one solve against it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     InvalidInput,
@@ -34,7 +41,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply
-from .numkernel import SymMatrix, cho_solve, cholesky, spd_solve, sqrtm_psd, stored
+from .numkernel import SymMatrix, cholesky, matmul, spd_solve, sqrtm_psd, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +105,17 @@ def energy_form(u, v):
 def kernel_columns(net, idx):
     """Grounded kernel vectors v_x for the dense indices idx (origin
     excluded) as the columns of an n x len(idx) array: one solve of
-    L_X K = E_idx against the network's grounded Cholesky factor."""
+    L_X K = E_idx against the network's factor L_X = W W^T, as the two
+    triangular solves W Y = E_idx and W^T K = Y."""
     idx = np.asarray(idx, dtype=np.intp)
-    rhs = np.zeros((net.n - 1, idx.size))
+    W = net.grounded_factor
+    rhs = np.zeros((net.n - 1, idx.size), order="F")  # F-ordered: both solves in place
     rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
+    Y = scipy.linalg.solve_triangular(W, rhs, check_finite=False, overwrite_b=True)
     cols = np.zeros((net.n, idx.size))
-    cols[net.x_index] = cho_solve(net.grounded_factor, rhs)
+    cols[net.x_index] = scipy.linalg.solve_triangular(
+        W, Y, trans="T", check_finite=False, overwrite_b=True
+    )
     return cols
 
 
@@ -130,7 +142,8 @@ def effective_resistance(net, x):
 @dataclass(frozen=True)
 class GramMatrix:
     """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X, and
-    its upper Cholesky factor U, V = U^T U."""
+    its upper Cholesky factor U, V = U^T U.  For a prefix F of X, U is
+    W[:k, :k]^{-1} from the network's factor L_X = W W^T."""
 
     F: tuple
     V: SymMatrix
@@ -148,15 +161,22 @@ def gram_matrix(net, F):
 
 
 def _gram_and_columns(net, F):
-    """gram_matrix(net, F) and the n x |F| kernel columns it was read from."""
+    """gram_matrix(net, F) and the n x |F| kernel columns it was read from.
+    A prefix F of X, the first k entries of x_index (every exhaustion the
+    CLI builds), reads V and U from the network's factor (_prefix_gram);
+    any other F solves for its kernel columns and factors V."""
     F = tuple(F)
     if not F or len(set(F)) != len(F):
         raise InvalidInput("F must be a nonempty list of distinct vertices")
     idx = [net.index(x) for x in F]
     if net.origin_index in idx:
         raise OriginInF("the origin cannot appear in F")
-    K = kernel_columns(net, idx)
-    V = K[idx]
+    prefix = np.array_equal(idx, net.x_index[: len(idx)])
+    if prefix:
+        V, U, K = _prefix_gram(net, len(idx))
+    else:
+        K = kernel_columns(net, idx)
+        V = K[idx]
     bad = _first_mismatch(net, K, V)
     if bad:
         i, j, form = bad
@@ -164,9 +184,42 @@ def _gram_and_columns(net, F):
             f"Gram entry ({F[i]!r},{F[j]!r}): inner product {float(form)!r} "
             f"disagrees with kernel value {float(V[i, j])!r}"
         )
+    if prefix:
+        return GramMatrix(F, SymMatrix(V, 0.0), U), K
     V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
     # factored here, so positive definiteness is an invariant of the type
     return GramMatrix(F, V, cholesky(V)), K
+
+
+def _prefix_gram(net, k):
+    """(V, U, K) over the prefix F = x_index[:k], from L_X = W W^T: the
+    leading block of W^{-T} W^{-1} is V = U^T U with U = W[:k, :k]^{-1}, upper
+    triangular, so V is exactly symmetric and U is its Cholesky factor.  K
+    holds the kernel columns at F: V on F, 0 at the origin, and on X \\ F the
+    block solve W22^T K2 = -W12^T V of W^T K = [U; 0], with W12 = W[:k, k:]
+    and W22 = W[k:, k:]."""
+    W = net.grounded_factor
+    # a copy: dtrtri with overwrite_c writes into its argument even where that
+    # is read-only (a 1 x 1 W[:1, :1] is a contiguous view); info is 0, W's
+    # diagonal being positive
+    U, _ = dtrtri(np.array(W[:k, :k], order="F"), overwrite_c=1)
+    upper = dsyrk(1.0, U, trans=1)  # U^T U in the upper triangle, 0 below it
+    K = np.zeros((net.n, k))
+    # F = X with the origin first (every generated network): K is V below a
+    # zero row, so V is a view of K, and no second n x n array is held
+    full = k == net.n - 1 and net.origin_index == 0
+    V = K[1:] if full else np.empty((k, k))
+    np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
+    np.fill_diagonal(V, np.diagonal(upper))
+    del upper
+    if not full:
+        K[net.x_index[:k]] = V
+    if k < net.n - 1:
+        rest = -matmul(W[:k, k:].T, V)
+        K[net.x_index[k:]] = scipy.linalg.solve_triangular(
+            W[k:, k:], rest, trans="T", check_finite=False, overwrite_b=True
+        )
+    return stored(V), stored(U), K
 
 
 def _first_mismatch(net, K, V):

@@ -92,9 +92,15 @@ class Network:
 
     @cached_property
     def grounded_factor(self):
-        """Upper Cholesky factor of the grounded Laplacian L_X, the block on
-        X = G \\ {o}; built on first use and kept for the life of the network."""
-        return cholesky(self.laplacian_block(self.x_index))
+        """Upper triangular W with L_X = W W^T, the grounded Laplacian on
+        X = G \\ {o}, rows and columns in x_index order: LAPACK's Cholesky of
+        the block in reverse order, J L_X J = R^T R, read as W = J R^T J.
+        For every prefix of X (its first k entries), W[:k, :k]^{-1} is then
+        the Cholesky factor of the kernel Gram matrix over that prefix.
+        Built on first use, kept for the life of the network; read-only."""
+        R = cholesky(self.laplacian_block(self.x_index[::-1]))
+        # R is F-ordered, so J R^T J, C-ordered, is R's buffer read backwards
+        return stored(np.ascontiguousarray(R.T[::-1, ::-1]))
 
     def edge_dict(self):
         return {frozenset((x, y)): w for x, y, w in self.edges}

@@ -8,6 +8,7 @@ its float, so the only error is that of the 60-digit arithmetic.
 """
 
 import mpmath
+import numpy as np
 
 DPS = 60
 
@@ -59,3 +60,42 @@ def restricted_norm(net, F, values):
         C = mpmath.cholesky(mpmath.matrix([[V[i, j] for j in rows] for i in rows])).T
         T = C * mpmath.diag([mpmath.conj(mpmath.mpmathify(v)) for v in values]) * C**-1
         return max(mpmath.svd(T, compute_uv=False))
+
+
+def tree_kernel(net):
+    """The kernel of a tree network in closed form: v_x(y) = r(x ^ y), where
+    x ^ y is the last vertex shared by the paths from o to x and to y, and
+    r(z) is the sum of 1/c_e over the path from o to z.
+
+    Returns (r, depth, column) by dense index: r and depth (edges from o) as
+    arrays, and column(i), the values of v_x over all vertices for the x of
+    dense index i.  r is a sum of positive terms, so its relative error is
+    at most depth * eps.  The parent array and r come from one pass over the
+    edges, which must each join a vertex already reached from o to a new
+    one, as the generators and random_network(..., extra_edges=0) list them.
+    """
+    o = net.origin_index
+    parent, depth, r = [-1] * net.n, [0] * net.n, [0.0] * net.n
+    reached, order = {o}, [o]
+    for i, j, w in zip(net.edge_i.tolist(), net.edge_j.tolist(), net.edge_w.tolist()):
+        if j in reached:
+            i, j = j, i
+        if i not in reached or j in reached:
+            raise ValueError(f"edge ({i}, {j}) does not join a reached vertex to a new one")
+        reached.add(j)
+        order.append(j)
+        parent[j], depth[j], r[j] = i, depth[i] + 1, r[i] + 1.0 / w
+    if len(reached) != net.n:
+        raise ValueError("the edges do not span the network")
+
+    def column(i):
+        on_path = set()
+        while i != -1:
+            on_path.add(i)
+            i = parent[i]
+        v = [0.0] * net.n
+        for z in order[1:]:  # parents before children
+            v[z] = r[z] if z in on_path else v[parent[z]]
+        return np.array(v)
+
+    return np.array(r), np.array(depth), column

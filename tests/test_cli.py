@@ -210,6 +210,8 @@ _INVALID = [
     ["kernel", "--gen", "path", "--vertex", "1"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "a,b"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "2,,3"],
+    # X has 2 vertices: a size past it is refused
+    ["mult", "--gen", "path:3", "--f", "delta:1", "--exhaust", "3"],
     ["mult", "--gen", "path:3", "--f", "const:abc"],
     ["mult", "--gen", "path:3", "--f", "const:nan"],
     ["mult", "--gen", "path:3", "--f", "file:/missing"],
@@ -301,15 +303,42 @@ def test_closed_stdout_exits_2():
     assert done.stderr.splitlines() == ["error: output stream closed early"]
 
 
-def test_internal_error_exits_3(monkeypatch, capsys):
-    solve = scipy.linalg.cho_solve
+def test_reader_closing_early_exits_2():
+    # the reader takes one line of a 1.4 MB table and leaves: the write that
+    # fills the pipe fails mid-output, not at the final flush
+    env = dict(os.environ, PYTHONPATH=str(Path(en.__file__).parents[1]))
+    F = ",".join(map(str, range(1, 501)))
+    argv = ["gram", "--gen", "integer_segment:500", "--F", F, "--format", "csv"]
+    with subprocess.Popen([sys.executable, "-m", "energynet.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("x,1,2,3,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err.splitlines() == ["error: output stream closed early"]
 
-    def perturbed(factor, rhs):
-        sol = solve(factor, rhs)
-        sol[:, 1] += 1e-6
+
+def test_closed_stdout_exits_2_in_process(monkeypatch, capsys):
+    # the same in this process, on a pipe of its own: main points the pipe's
+    # descriptor at devnull, so closing the stream afterwards flushes nowhere
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["kernel", "--gen", "path:3", "--vertex", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: output stream closed early"]
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    solve = scipy.linalg.solve_triangular
+
+    def perturbed(a, b, trans=0, **kwargs):
+        sol = solve(a, b, trans=trans, **kwargs)
+        if trans == "T":  # the back substitution W^T K = Y of the kernel solve
+            sol[:, 1] += 1e-6
         return sol
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", perturbed)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", perturbed)
     assert main(["gram", "--gen", "integer_segment:12", "--F", "3,7,9"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

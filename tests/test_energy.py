@@ -151,32 +151,114 @@ def test_gram_reproducing_consistency(test_net):
             assert abs(gm.V.a[i, j] - vx[y]) <= 1e-9
 
 
+def _perturbed_back_substitution(monkeypatch, by):
+    """Patch scipy.linalg.solve_triangular so that every transposed solve,
+    the back substitution W^T K = Y of a kernel solve and the prefix path's
+    block solve, returns its column 1 moved by `by`."""
+    solve = scipy.linalg.solve_triangular
+
+    def perturbed(a, b, trans=0, **kwargs):
+        sol = solve(a, b, trans=trans, **kwargs)
+        if trans == "T":
+            sol[:, 1] += by
+        return sol
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", perturbed)
+
+
 def test_gram_cross_check_catches_bad_solve(monkeypatch):
     net = en.generate("integer_segment", 12)
     en.gram_matrix(net, [3, 7, 9])
-    solve = scipy.linalg.cho_solve
-
-    def perturbed(factor, rhs):
-        sol = solve(factor, rhs)
-        sol[:, 1] += 1e-6
-        return sol
-
-    monkeypatch.setattr(scipy.linalg, "cho_solve", perturbed)
+    _perturbed_back_substitution(monkeypatch, 1e-6)
     with pytest.raises(ArithmeticError, match=r"Gram entry \(7,7\)"):
         en.gram_matrix(net, [3, 7, 9])
 
 
-def test_gram_records_the_solved_defect():
-    """V.defect is the relative Hermitian defect of the solved kernel rows,
-    measured before V is symmetrized, and V is their symmetric part."""
-    net = en.generate("integer_segment", 40)
+def test_gram_cross_check_catches_bad_block_solve(monkeypatch):
+    # the prefix path reads V from the factor and the kernel columns beyond F
+    # from its block solve.  An error d there, off F, moves the pairings only
+    # at second order (<v_x, d> = d(x) = 0 for x in F), so it is 1e-3 here:
+    # <v_2, v_2> moves by 1e-6, on the edge (3, 4)
+    net = en.generate("integer_segment", 12)
+    en.gram_matrix(net, [1, 2, 3])
+    _perturbed_back_substitution(monkeypatch, 1e-3)
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(2,2\)"):
+        en.gram_matrix(net, [1, 2, 3])
+
+
+def test_gram_cross_check_catches_bad_prefix_inverse(monkeypatch):
+    # F = X, the default exhaustion's outer set: no kernel solve at all, so a
+    # wrong W[:k, :k]^{-1} shows only in the pairings of the columns built from it
+    net = en.generate("integer_segment", 12)
     xs = x_vertices(net)
+    en.gram_matrix(net, xs)
+    dtrtri = en.energy.dtrtri
+
+    def perturbed(c, **kwargs):
+        inv, info = dtrtri(c, **kwargs)
+        inv[0, 1] += 1e-6
+        return inv, info
+
+    monkeypatch.setattr(en.energy, "dtrtri", perturbed)
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(1,2\)"):
+        en.gram_matrix(net, xs)
+
+
+def test_gram_records_the_solved_defect():
+    """Over a set that is not a prefix of X, V.defect is the relative
+    Hermitian defect of the solved kernel rows, measured before V is
+    symmetrized, and V is their symmetric part.  Over a prefix, V comes
+    from the network's factor as U^T U, exactly symmetric: defect 0."""
+    net = random_network(40, seed=0)
+    xs = x_vertices(net)[::-1]
     idx = [net.index(x) for x in xs]
     raw = en.energy.kernel_columns(net, idx)[idx]
     defect = np.abs(raw - raw.T).max() / max(1.0, np.abs(raw).max())
     gram = en.gram_matrix(net, xs)
     assert defect > 0 and gram.V.defect == defect
     assert np.array_equal(gram.V.a, (raw + raw.T) / 2)
+    prefix = en.gram_matrix(net, xs[::-1])
+    assert prefix.V.defect == 0.0 and np.array_equal(prefix.V.a, prefix.V.a.T)
+
+
+@st.composite
+def gram_networks(draw):
+    """A random network (n <= 14, conductances uniform or log-uniform over
+    10^(+-1)) or a generated one, with its origin anywhere in the vertex
+    order, so that a prefix of X may straddle it."""
+    if draw(st.booleans()):
+        decades = draw(st.sampled_from([None, 1]))
+        net = random_network(draw(st.integers(2, 14)), draw(st.integers(0, 10**6)),
+                             decades=decades)
+    else:
+        family, sizes = draw(st.sampled_from([
+            ("path", (2, 60)), ("cycle", (3, 60)), ("integer_segment", (2, 60)),
+            ("binary_tree", (1, 5)),
+        ]))
+        net = en.generate(family, draw(st.integers(*sizes)))
+    return en.build_network(net.edges, origin=draw(st.sampled_from(net.vertices)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_networks(), st.data())
+def test_prefix_gram_equals_the_general_path(net, data):
+    """Over a prefix F of X, V and U come from the network's factor; the same
+    set in another order is solved for.  Re-permuted, the two V agree, and
+    U is upper triangular with U^T U = V."""
+    X = net.x_vertices
+    k = data.draw(st.integers(1, len(X)))
+    F = X[:k]
+    perm = data.draw(st.permutations(range(k)))
+    if k > 1 and perm == sorted(perm):
+        perm = perm[::-1]  # a prefix in its own order would take the same path
+    fast = en.gram_matrix(net, F)
+    general = en.gram_matrix(net, [F[i] for i in perm])
+    V, U = fast.V.a, fast.U
+    back = np.argsort(perm)
+    scale = np.abs(V).max()
+    assert np.abs(general.V.a[np.ix_(back, back)] - V).max() <= 1e-12 * scale
+    assert np.array_equal(U, np.triu(U))
+    assert np.abs(U.T @ U - V).max() <= 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -203,7 +203,8 @@ def test_nested_levels_match_per_level(seed):
 
 def test_one_s_matrix_per_bound(monkeypatch):
     """S is formed once per bound over the outer set, however many levels the
-    exhaustion has: one Hermitian check for the Gram matrix, one per bound."""
+    exhaustion has: one Hermitian check per bound, and none for the Gram
+    matrix over a prefix of X, which is symmetric by construction."""
     net = en.generate("integer_segment", 12)
     m = Multiplier.from_kernel(net, 3)
     xs = x_vertices(net)
@@ -226,7 +227,7 @@ def test_one_s_matrix_per_bound(monkeypatch):
             run()
             counts[levels].append(len(calls))
     assert counts[2] == counts[6]
-    assert counts[2][:3] == [2, 2, 2]
+    assert counts[2][:3] == [1, 1, 1]
 
 
 def test_witnesses_from_one_subset_eigensolve(monkeypatch):
@@ -560,13 +561,19 @@ def test_analyze_upper_reads_gram_diagonal(monkeypatch):
 
     monkeypatch.setattr(multop, "kernel_columns", counted)
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
+    # the default exhaustion's F_m = X is a prefix: V and R(x) = V_xx with no solve
     rep = analyze(m)
-    assert len(calls) == 1
+    assert calls == []
     assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
     # support outside F_m: its R(x) comes from one solve for just those vertices
     calls.clear()
     rep = analyze(m, [(1, 2), (1, 2, 3)])
-    assert calls == [[1, 2, 3], list(range(4, 41))]
+    assert calls == [list(range(4, 41))]
+    assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
+    # a set that is not a prefix is solved for, once
+    calls.clear()
+    rep = analyze(m, [(2, 1), (2, 1, 3)])
+    assert calls == [[2, 1, 3], list(range(4, 41))]
     assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
 
 
@@ -582,8 +589,12 @@ def test_default_samples_one_solve(monkeypatch):
 
     monkeypatch.setattr(checks, "kernel_columns", counted)
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
+    # the Gram matrix over the prefix (1, 2, 3, 4) needs no kernel solve
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4]) <= 1e-9
-    assert calls == [[1, 2, 3, 4], list(range(1, 9))]
+    assert calls == [list(range(1, 9))]
+    calls.clear()
+    assert truncation_consistency(m, [3, 2, 1], [3, 2, 1, 4]) <= 1e-9
+    assert calls == [[3, 2, 1, 4], list(range(1, 9))]
     calls.clear()
     assert rank_one_identities(seg, 2, 3) <= 1e-9
     assert calls == [list(range(1, 9))]
@@ -761,8 +772,12 @@ def test_truncation_consistency_solves_once(monkeypatch):
 
     monkeypatch.setattr(checks, "kernel_columns", counted)
     monkeypatch.setattr(en.energy, "kernel_columns", counted)
+    assert truncation_consistency(m, [3, 2, 1], [3, 2, 1, 4], samples) <= 1e-9
+    assert calls == [[3, 2, 1, 4]]
+    # over a prefix of X the Gram matrix comes from the network's factor
+    calls.clear()
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4], samples) <= 1e-9
-    assert calls == [[1, 2, 3, 4]]
+    assert calls == []
 
 
 def gram_schmidt_V(V):
@@ -789,17 +804,20 @@ def test_truncation_basis_matches_gram_schmidt(n, seed, data):
     used = []
     solve_triangular = scipy.linalg.solve_triangular
 
-    def spy(*args, **kwargs):
-        used.append(solve_triangular(*args, **kwargs))
-        return used[-1]
+    def spy(a, *args, **kwargs):
+        used.append((a, solve_triangular(a, *args, **kwargs)))
+        return used[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "solve_triangular", spy)
         resid = truncation_consistency(m, F_n, F_m)
-    (C,) = used
     # the Gram matrix over F_m with F_n leading, as truncation_consistency orders it
-    V = en.gram_matrix(net, F_m).V.a
+    gram = en.gram_matrix(net, F_m)
+    V = gram.V.a
     k = len(F_n)
+    # C is the one solve against the leading block of the Gram factor (the
+    # kernel solves run against the network's factor)
+    (C,) = [x for a, x in used if a.shape == (k, k) and np.array_equal(a, gram.U[:k, :k])]
     want = gram_schmidt_V(V[:k, :k])
     assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
     assert resid <= 1e-9
@@ -911,6 +929,18 @@ def test_gram_cross_check_sees_a_perturbed_kernel_solve(monkeypatch, capsys):
     a, b, c = x_vertices(net)[2:5]
     with pytest.raises(InvariantViolation, match=rf"Gram entry \({a!r},{b!r}\)"):
         en.gram_matrix(net, [a, b, c])
+    # mult's outer set F = X is a prefix: V = U^T U from U = W^{-1}, and no
+    # kernel solve.  U_01 perturbed by 1e-6 moves V's row and column 1 by
+    # 1e-6 U_0., and the pairings of the columns built from V by twice that
+    dtrtri = en.energy.dtrtri
+
+    def perturbed_inverse(c, **kwargs):
+        inv, info = dtrtri(c, **kwargs)
+        if len(inv) > 1:
+            inv[0, 1] += 1e-6
+        return inv, info
+
+    monkeypatch.setattr(en.energy, "dtrtri", perturbed_inverse)
     for argv, pair in [
         (["gram", "--gen", "integer_segment:12", "--F", "3,7,9"], "(3,7)"),
         (["mult", "--gen", "integer_segment:12", "--f", "delta:3", "--estimate"], "(1,2)"),

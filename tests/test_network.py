@@ -171,7 +171,9 @@ def test_x_index_is_x_in_vertex_order_and_read_only():
     with pytest.raises(ValueError):
         net.x_index[0] = 1
     block = net.laplacian_block(net.x_index).a
-    np.testing.assert_allclose(net.grounded_factor.T @ net.grounded_factor, block, atol=1e-14)
+    W = net.grounded_factor
+    assert np.array_equal(W, np.triu(W))
+    np.testing.assert_allclose(W @ W.T, block, atol=1e-14)
 
 
 def test_x_vertices_are_the_ids_of_x_index():

@@ -20,6 +20,7 @@ CLI_PATH = [
     numkernel.sqrtm_psd,
     energy.kernel_columns,
     energy._gram_and_columns,
+    energy._prefix_gram,
     energy._first_mismatch,
     multop._nested_levels,
     multop._sufficiency_bound,

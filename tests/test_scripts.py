@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -63,10 +64,15 @@ def test_untested_lines_on_one_test_file(tmp_path):
     assert any(ln.startswith("1 passed") for ln in lines)
 
 
-def test_bench_pairs_summary():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary():
+    bench_pairs = load_bench_pairs()
     base = [0.30, 0.32, 0.29, 0.31, 0.30]
     change = [0.24, 0.25, 0.30, 0.23, 0.24]
     pairs = [({"t": b, "r": 1 / b}, {"t": c, "r": 1 / b}) for b, c in zip(base, change)]
@@ -79,6 +85,38 @@ def test_bench_pairs_summary():
     # equal values are ties, which count for neither side
     assert (higher["wins"], higher["beyond_iqr"]) == (0, False)
     assert bench_pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_bench_pairs_writes_one_entry_per_workload(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    if not (bench_pairs.ROOT / ".git").exists():
+        pytest.skip("bench_pairs extracts its base from a git checkout")
+    names = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]]
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds):
+        change = tree == bench_pairs.ROOT
+        runs.append((workload, seed, "change" if change else "base"))
+        assert (tree / "perfbench" / "run.py").is_file()
+        return {n: 1.0 if change else 2.0 for n in names}, 0, {"nproc": 2, "seed": seed}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--base", "HEAD", "--workload", "a", "--workload", "b", "--pairs", "2",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # odd pairs run the base first, even pairs the change
+    assert runs[:4] == [("a", 1, "base"), ("a", 1, "change"), ("a", 2, "change"),
+                        ("a", 2, "base")]
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["a", "b"]
+    entry = doc["workloads"]["b"]
+    assert entry["machine"] == {"nproc": 2, "seed": 2}
+    assert entry["failed"] == {"base": 0, "change": 0}
+    assert entry["runs"][0]["base"]["op_p50_s"] == 2.0
+    assert [r["name"] for r in entry["summary"]] == names
+    assert "b, base HEAD against the working tree" in capsys.readouterr().out
 
 
 def test_settable_values_on_a_fixed_snippet(tmp_path):
