@@ -6,8 +6,9 @@ working tree, for i = 1 ... N.  Odd pairs run the base first, even pairs
 the working tree first, so that drift of the machine falls on both sides
 alike.  It prints each pair's end-to-end metrics (the `end_to_end` list of
 BENCHMARK.json), then per metric each side's median and quartiles, the
-pairs the change wins (strictly better, in the metric's direction) and
-whether the medians differ by more than the base's interquartile range.
+pairs the change wins (strictly better, in the metric's direction),
+whether the medians differ by more than the base's interquartile range, and
+the no-regression verdict from the metric's `bound` (see `summary`).
 `--workload` may be given more than once.  With `--out PATH` the pairs,
 the summary rows and the machine record of perfbench/run.py go to PATH as
 JSON, one entry per workload.  The temporary directory is removed
@@ -39,16 +40,26 @@ def quartiles(values):
 
 
 def summary(pairs, metrics):
-    """One row per metric of metrics ({"name", "better"} dicts) over pairs,
-    a list of (base, change) dicts of metric values: the name, each side's
-    (q1, median, q3), the change's wins and whether the medians differ by
-    more than the base's interquartile range."""
+    """One row per metric of metrics ({"name", "better", "bound"} dicts) over
+    pairs, a list of (base, change) dicts of metric values: the name, each
+    side's (q1, median, q3), the change's wins, whether the medians differ by
+    more than the base's interquartile range, and a verdict against the
+    allowed loss bound * |base median|: "unresolved" if the base's
+    interquartile range exceeds it and not every change run beats every base
+    run, else "worse" if the change median is worse than the base median by
+    more than it, else "ok"."""
     rows = []
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
         qb, qc = quartiles(base), quartiles(change)
+        allowed = metric["bound"] * abs(qb[1])
+        if qb[2] - qb[0] > allowed and min(sign * c for c in change) <= max(
+                sign * b for b in base):
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if sign * (qb[1] - qc[1]) > allowed else "ok"
         rows.append({
             "name": name,
             "better": metric["better"],
@@ -57,6 +68,7 @@ def summary(pairs, metrics):
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
             "beyond_iqr": abs(qc[1] - qb[1]) > qb[2] - qb[0],
+            "verdict": verdict,
         })
     return rows
 
@@ -146,11 +158,12 @@ def print_summary(args, workload, failed, rows):
           f"{args.pairs} pairs of {args.seconds:g} s; failed ops: base {failed[0]}, "
           f"change {failed[1]}")
     print(f"{'metric':14} {'better':6}  {'base median [q1, q3]':30}  "
-          f"{'change median [q1, q3]':30}  {'wins':>6}  beyond base IQR")
+          f"{'change median [q1, q3]':30}  {'wins':>6}  {'beyond base IQR':15}  verdict")
     for r in rows:
         base, change = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (r["base"], r["change"]))
         print(f"{r['name']:14} {r['better']:6}  {base:30}  {change:30}  "
-              f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['beyond_iqr'] else 'no'}")
+              f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['beyond_iqr'] else 'no':15}  "
+              f"{r['verdict']}")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Runs pytest in this process under sys.settrace, with line events traced only
 in frames whose code lives in src/energynet, and then prints
 `file:line statement` for each statement whose first line never ran, in file
 order.  Only lines that carry bytecode count, so declarations such as
-`nonlocal` and `global`, `try:` lines and function docstrings are never
-listed.
+`nonlocal` and `global` and function docstrings are never listed.  A
+`try:` line does carry bytecode, and is listed when it never ran.
 
 Code that the tests run only in a subprocess (the `python -m energynet.cli`
 checks, the experiment scripts) is not seen: its statements are listed even

@@ -145,10 +145,10 @@ def truncation_consistency(m, F_n, F_m, samples=None):
                 f"neighbors of {z!r} are not contained in F_m; enlarge the outer set"
             )
 
-    # V_{F_n} = U_k^T U_k on the leading block of the Gram factor, so
-    # C = U_k^{-1} satisfies C^T V_{F_n} C = I: Gram-Schmidt in the V metric
-    C = scipy.linalg.solve_triangular(gram.U[:k, :k], np.eye(k), check_finite=False)
-    Q = _iso(net, K[:, :k]) @ C  # orthonormal columns
+    # V_{F_n}^{-1} = W_k W_k^T on the leading block of the Gram factor, so
+    # C = W_k, upper triangular with C^T V_{F_n} C = I, is Gram-Schmidt in
+    # the V metric
+    Q = _iso(net, K[:, :k]) @ gram.W[:k, :k]  # orthonormal columns
     P = Q @ Q.conj().T
 
     chi = np.zeros(net.n)

@@ -10,18 +10,18 @@ values (`np.array_equal`), not by `==`, which is identity.
 Cost model: each network holds one factor of its grounded Laplacian,
 L_X = W W^T with W upper triangular and rows X in the order of
 Network.x_index (Network.grounded_factor, built on first use), and every
-kernel query is two triangular solves against W.  The kernel Gram matrix is
-V_X = L_X^{-1} = W^{-T} W^{-1}.  Over a prefix F of X (its first k
-vertices, as every exhaustion of the CLI is) that gives V_F = U^T U with
-U = W[:k, :k]^{-1}: one triangular inverse and one symmetric rank-k
-product, exactly symmetric, with U as its Cholesky factor.  Over any other
-F a Gram matrix costs |F| solves and one Cholesky factor of V_F.  Either
-way V_F is cross-checked by the reproducing identity, whose pairings
-<v_x, v_y> come from one symmetric rank-|F| update over the edges, and
-its users read U rather than refactor; nothing else is cached, in
-particular no kernel vector per vertex.  The Dirac Gram matrix over F is
-the Laplacian block on F (Network.laplacian_block), and a projection onto
-the Dirac span over F is one solve against it.
+kernel query is two triangular solves against W.  A Gram matrix V_F holds
+its inverse's factor in the same convention, V_F^{-1} = W_F W_F^T (the Kron
+reduction of L_X onto F).  Over a prefix F of X (its first k vertices, as
+every exhaustion of the CLI is) W_F = W[:k, :k], and V_F = U^T U with
+U = W_F^{-1} costs one triangular inverse and one symmetric rank-k product.
+Over any other F it costs |F| solves and one Cholesky factor of V_F, then
+inverted.  Either way V_F is cross-checked by the reproducing identity,
+whose pairings <v_x, v_y> come from one symmetric rank-|F| update over the
+edges; nothing else is cached, in particular no kernel vector per vertex.
+The Dirac Gram matrix over F is the Laplacian block on F
+(Network.laplacian_block), and a projection onto the Dirac span over F is
+one solve against it.
 """
 
 from __future__ import annotations
@@ -142,12 +142,13 @@ def effective_resistance(net, x):
 @dataclass(frozen=True)
 class GramMatrix:
     """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X, and
-    its upper Cholesky factor U, V = U^T U.  For a prefix F of X, U is
-    W[:k, :k]^{-1} from the network's factor L_X = W W^T."""
+    the upper triangular W with V^{-1} = W W^T: over a prefix of X the
+    leading block of the network's factor (that array itself over all of X),
+    else the inverse of V's Cholesky factor."""
 
     F: tuple
     V: SymMatrix
-    U: np.ndarray
+    W: np.ndarray
 
     def sqrt(self):
         return sqrtm_psd(self.V)
@@ -163,17 +164,14 @@ def gram_matrix(net, F):
 def _gram_and_columns(net, F):
     """gram_matrix(net, F) and the n x |F| kernel columns it was read from.
     A prefix F of X, the first k entries of x_index (every exhaustion the
-    CLI builds), reads V and U from the network's factor (_prefix_gram);
+    CLI builds), reads V and W from the network's factor (_prefix_gram);
     any other F solves for its kernel columns and factors V."""
-    F = tuple(F)
-    if not F or len(set(F)) != len(F):
-        raise InvalidInput("F must be a nonempty list of distinct vertices")
-    idx = [net.index(x) for x in F]
+    F, idx = _distinct(net, F)
     if net.origin_index in idx:
         raise OriginInF("the origin cannot appear in F")
     prefix = np.array_equal(idx, net.x_index[: len(idx)])
     if prefix:
-        V, U, K = _prefix_gram(net, len(idx))
+        V, W, K = _prefix_gram(net, len(idx))
     else:
         K = kernel_columns(net, idx)
         V = K[idx]
@@ -185,25 +183,35 @@ def _gram_and_columns(net, F):
             f"disagrees with kernel value {float(V[i, j])!r}"
         )
     if prefix:
-        return GramMatrix(F, SymMatrix(V, 0.0), U), K
+        return GramMatrix(F, SymMatrix(V, 0.0), W), K
     V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
     # factored here, so positive definiteness is an invariant of the type
-    return GramMatrix(F, V, cholesky(V)), K
+    W, _ = dtrtri(cholesky(V))  # info 0: the factor's diagonal is positive
+    return GramMatrix(F, V, stored(W)), K
+
+
+def _distinct(net, F):
+    """(F as a tuple, its dense indices) for a nonempty F of distinct vertices."""
+    F = tuple(F)
+    if not F or len(set(F)) != len(F):
+        raise InvalidInput("F must be a nonempty list of distinct vertices")
+    return F, [net.index(x) for x in F]
 
 
 def _prefix_gram(net, k):
-    """(V, U, K) over the prefix F = x_index[:k], from L_X = W W^T: the
-    leading block of W^{-T} W^{-1} is V = U^T U with U = W[:k, :k]^{-1}, upper
-    triangular, so V is exactly symmetric and U is its Cholesky factor.  K
-    holds the kernel columns at F: V on F, 0 at the origin, and on X \\ F the
-    block solve W22^T K2 = -W12^T V of W^T K = [U; 0], with W12 = W[:k, k:]
-    and W22 = W[k:, k:]."""
+    """(V, W_k, K) over the prefix F = x_index[:k], from L_X = W W^T: the
+    leading block of W^{-T} W^{-1} is V = U^T U, exactly symmetric, with
+    U = W_k^{-1} kept only until V is formed, and W_k = W[:k, :k] (W itself
+    when F = X, else a copy).  K holds the kernel columns at F: V on F, 0 at
+    the origin, and on X \\ F the block solve W22^T K2 = -W12^T V of
+    W^T K = [U; 0], with W12 = W[:k, k:] and W22 = W[k:, k:]."""
     W = net.grounded_factor
     # a copy: dtrtri with overwrite_c writes into its argument even where that
     # is read-only (a 1 x 1 W[:1, :1] is a contiguous view); info is 0, W's
     # diagonal being positive
     U, _ = dtrtri(np.array(W[:k, :k], order="F"), overwrite_c=1)
     upper = dsyrk(1.0, U, trans=1)  # U^T U in the upper triangle, 0 below it
+    del U
     K = np.zeros((net.n, k))
     # F = X with the origin first (every generated network): K is V below a
     # zero row, so V is a view of K, and no second n x n array is held
@@ -219,7 +227,7 @@ def _prefix_gram(net, k):
         K[net.x_index[k:]] = scipy.linalg.solve_triangular(
             W[k:, k:], rest, trans="T", check_finite=False, overwrite_b=True
         )
-    return stored(V), stored(U), K
+    return stored(V), stored(np.ascontiguousarray(W[:k, :k])), K
 
 
 def _first_mismatch(net, K, V):
@@ -254,15 +262,10 @@ def fin_projection(net, u, F):
     With F = all vertices the Dirac span is (n-1)-dimensional (delta_o is a
     combination of the others modulo constants), so the origin is dropped.
     """
-    F = list(F)
-    idx = [net.index(x) for x in F]
-    if set(idx) == set(range(net.n)):
-        F = [x for x in F if net.index(x) != net.origin_index]
-        idx = [net.index(x) for x in F]
-    G = delta_gram(net, F)
-    lap = laplacian_apply(net, u).values
-    rhs = lap[idx]
-    coeffs = spd_solve(G, rhs)
+    idx = _distinct(net, F)[1]
+    if len(idx) == net.n:
+        idx.remove(net.origin_index)
+    coeffs = spd_solve(net.laplacian_block(idx), laplacian_apply(net, u).values[idx])
     vals = np.zeros(net.n, dtype=coeffs.dtype)
     vals[idx] = coeffs
     return ground(net, vals)

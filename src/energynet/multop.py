@@ -1,7 +1,7 @@
 """Multiplication operators on the energy space: pointwise action, adjoints,
 restricted norms and psd boundedness certificates over a nested exhaustion
-F_1 c ... c F_m (one Gram matrix over F_m and its Cholesky factor for the
-whole trace), closed-form point-mass norms and the sufficiency bound.  The
+F_1 c ... c F_m (one Gram matrix over F_m and its triangular factor for
+the whole trace), closed-form point-mass norms and the sufficiency bound.  The
 checks of the operator identities live in `energynet.checks`.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtrmv
 
 from .energy import effective_resistance, energy_kernel, gram_matrix, ground, kernel_columns
@@ -74,15 +73,15 @@ def _nested_levels(m, exhaustion):
     S = s_matrix(m, b, F_m) once and yields psd_check's verdict on each
     level's leading block, a view of S, failing ones with their witness in
     F's order.  trace() returns (F, rho_F) per level, rho_F = sigma_max(T_k)
-    for T = U D* U^{-1}, where V = U^T U is the Gram matrix's Cholesky
-    factor and D = diag(f): T is upper triangular and the pencil
-    (P_F o V_F, V_F) on a leading k x k block is T_k^H T_k.  T is never
-    formed: each level applies T_k^H T_k to vectors through a copy of the
-    leading block U_k.  It runs once and then releases U.
+    for T = W^{-1} D* W, where V^{-1} = W W^T is the Gram matrix's factor and
+    D = diag(f): T is upper triangular and the pencil (P_F o V_F, V_F) on a
+    leading k x k block is T_k^H T_k = W_k^T D_k V_k D_k* W_k.  T is never
+    formed: each level applies that product to vectors by two triangular
+    products with the leading block W_k and one product with V_k.
     sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
-    V = gram.V.a
+    V, W = gram.V.a, gram.W
     fv = np.array([m[x] for x in order])
     pos = {x: i for i, x in enumerate(order)}
 
@@ -99,8 +98,6 @@ def _nested_levels(m, exhaustion):
         return _sufficiency_bound(m, R)
 
     def trace():
-        nonlocal gram
-        U, gram = gram.U, None
         # the trace of g = f / s, with s the power of two at or just below
         # max(|Re f|, |Im f|) over F_m (an exact division, and finite where
         # |f| would overflow): |g| < 2 sqrt(2) keeps T_k^H T_k in range for
@@ -111,19 +108,17 @@ def _nested_levels(m, exhaustion):
         out = []
         for F in exhaustion:
             k = len(F)
-            Uk, gk = np.asfortranarray(U[:k, :k]), g[:k]
-            solve = _by_parts(lambda y: scipy.linalg.solve_triangular(Uk, y, check_finite=False))
-            solve_t = _by_parts(
-                lambda y: scipy.linalg.solve_triangular(Uk, y, trans="T", check_finite=False)
-            )
-            mul = _by_parts(lambda y: dtrmv(Uk, y))
-            mul_t = _by_parts(lambda y: dtrmv(Uk, y, trans=1))
-            # the top eigenpair of T_k^H T_k, from T_k = U_k D_k* U_k^{-1} and
-            # T_k^H = U_k^{-T} D_k U_k^T applied to vectors: T_k is never formed
-            lam, q = top_eigpair(lambda x: solve_t(gk * mul_t(mul(np.conj(gk) * solve(x)))), k)
-            xi = solve(q)
+            # W_k^T as an F-ordered lower triangular array, and V_k: views,
+            # not copies, of C-ordered W and V when k = |F_m|
+            Wt, Vk, gk = np.ascontiguousarray(W[:k, :k]).T, np.ascontiguousarray(V[:k, :k]), g[:k]
+            mul = _by_parts(lambda y: dtrmv(Wt, y, lower=1, trans=1))
+            mul_t = _by_parts(lambda y: dtrmv(Wt, y, lower=1))
+            # the top eigenpair of T_k^H T_k = W_k^T D_k V_k D_k* W_k, from
+            # T_k = W_k^{-1} D_k* W_k, applied to vectors: T_k is never formed
+            lam, q = top_eigpair(lambda x: mul_t(gk * matmul(Vk, np.conj(gk) * mul(x))), k)
+            xi = mul(q)
             xi /= np.linalg.norm(xi)
-            Vk, d = np.asfortranarray(V[:k, :k]), np.diagonal(V)[:k]
+            d = np.diagonal(V)[:k]
             resid = np.linalg.norm(gk * matmul(Vk, np.conj(gk) * xi) - lam * matmul(Vk, xi))
             # diagonal entries of psd matrices bound their spectral norms below
             scale = np.max(np.abs(gk) ** 2 * d) + abs(lam) * d.max()

@@ -95,8 +95,8 @@ class Network:
         """Upper triangular W with L_X = W W^T, the grounded Laplacian on
         X = G \\ {o}, rows and columns in x_index order: LAPACK's Cholesky of
         the block in reverse order, J L_X J = R^T R, read as W = J R^T J.
-        For every prefix of X (its first k entries), W[:k, :k]^{-1} is then
-        the Cholesky factor of the kernel Gram matrix over that prefix.
+        For every prefix of X (its first k entries), W[:k, :k] W[:k, :k]^T is
+        then the inverse of the kernel Gram matrix over that prefix.
         Built on first use, kept for the life of the network; read-only."""
         R = cholesky(self.laplacian_block(self.x_index[::-1]))
         # R is F-ordered, so J R^T J, C-ordered, is R's buffer read backwards

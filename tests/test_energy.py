@@ -123,10 +123,13 @@ def test_gram_matrix_segment_min():
     assert np.allclose(gm.V.a, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-9)
 
 
-def test_gram_factor_is_upper_cholesky(test_net):
+def test_gram_factor_is_upper_and_inverts_V(test_net):
+    """V^{-1} = W W^T with W upper triangular, so W^T V W = I; over X, W is
+    the network's factor itself, not a copy."""
     gm = en.gram_matrix(test_net, x_vertices(test_net))
-    assert np.all(np.tril(gm.U, -1) == 0.0)
-    np.testing.assert_allclose(gm.U.T @ gm.U, gm.V.a, rtol=0, atol=1e-12 * np.abs(gm.V.a).max())
+    assert np.all(np.tril(gm.W, -1) == 0.0)
+    assert np.abs(gm.W.T @ gm.V.a @ gm.W - np.eye(len(gm.F))).max() <= 1e-12
+    assert np.shares_memory(gm.W, test_net.grounded_factor)
 
 
 def test_network_keeps_no_dense_laplacian():
@@ -242,9 +245,10 @@ def gram_networks(draw):
 @settings(max_examples=60, deadline=None)
 @given(gram_networks(), st.data())
 def test_prefix_gram_equals_the_general_path(net, data):
-    """Over a prefix F of X, V and U come from the network's factor; the same
-    set in another order is solved for.  Re-permuted, the two V agree, and
-    U is upper triangular with U^T U = V."""
+    """Over a prefix F of X, V and W come from the network's factor, and W is
+    its leading block bit for bit; the same set in another order is solved
+    for.  Re-permuted, the two V agree, and on both paths W is upper
+    triangular with W^T V W = I."""
     X = net.x_vertices
     k = data.draw(st.integers(1, len(X)))
     F = X[:k]
@@ -253,12 +257,14 @@ def test_prefix_gram_equals_the_general_path(net, data):
         perm = perm[::-1]  # a prefix in its own order would take the same path
     fast = en.gram_matrix(net, F)
     general = en.gram_matrix(net, [F[i] for i in perm])
-    V, U = fast.V.a, fast.U
+    V = fast.V.a
     back = np.argsort(perm)
-    scale = np.abs(V).max()
-    assert np.abs(general.V.a[np.ix_(back, back)] - V).max() <= 1e-12 * scale
-    assert np.array_equal(U, np.triu(U))
-    assert np.abs(U.T @ U - V).max() <= 1e-12 * scale
+    assert np.abs(general.V.a[np.ix_(back, back)] - V).max() <= 1e-12 * np.abs(V).max()
+    assert np.array_equal(fast.W, net.grounded_factor[:k, :k])
+    for gram in (fast, general):
+        W = gram.W
+        assert np.array_equal(W, np.triu(W))
+        assert np.abs(W.T @ gram.V.a @ W - np.eye(k)).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -348,6 +354,18 @@ def test_fin_projection_full_set_is_identity(test_net):
         u = random_energy_vector(test_net, rng)
         pu = en.fin_projection(test_net, u, list(test_net.vertices))
         assert np.abs(pu.values - u.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("F", [[2, 3, 2], [0, 1, 2, 3, 3], []])
+def test_fin_projection_rejects_empty_or_repeated_F(F):
+    # a repeat made the Dirac Gram matrix singular, and yet it was factored;
+    # an empty F failed inside BLAS
+    net = en.generate("path", 4)
+    u = ground(net, np.arange(4.0))
+    with pytest.raises(InvalidInput, match="F must be a nonempty list of distinct vertices"):
+        en.fin_projection(net, u, F)
+    # the projection onto span{delta_2, delta_3}
+    np.testing.assert_allclose(en.fin_projection(net, u, [2, 3]).values, [0, 0, 1, 2], atol=1e-12)
 
 
 def test_edge_sum_agrees_with_laplacian_pairing(test_net):

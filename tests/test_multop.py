@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -388,25 +390,31 @@ def test_trace_is_scale_free(seed, j, unit):
 
 
 @pytest.mark.parametrize("f", ["kernel", "complex"])
-def test_trace_solves_only_vectors(monkeypatch, f):
-    # T_k is applied through the Gram factor, never formed: every triangular
-    # solve of the trace has a 1-D right-hand side
+def test_trace_makes_no_solve_and_only_vector_products(monkeypatch, f):
+    # T_k^H T_k = W_k^T D_k V_k D_k* W_k is applied through the Gram matrix's
+    # factor and V, never formed: the trace makes no triangular solve, and
+    # every triangular (dtrmv) and dense (matmul) product it makes takes a
+    # 1-D vector
     net = en.generate("integer_segment", 40)
     m = Multiplier.from_kernel(net, 5)
     if f == "complex":
         m = Multiplier(net, m.f * (1 - 2j))
-    shapes = []
-    solve_triangular = scipy.linalg.solve_triangular
+    _, trace, _ = multop._nested_levels(m, None)
+    calls = []
 
-    def spy(a, b, *args, **kwargs):
-        shapes.append(np.shape(b))
-        return solve_triangular(a, b, *args, **kwargs)
+    def spy(name, op):
+        def recorded(a, b, *args, **kwargs):
+            calls.append((name, np.shape(b)))
+            return op(a, b, *args, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", spy)
-    rep = analyze(m)
-    assert rep.best_lower == pytest.approx(5.94858521 * (1 if f == "kernel" else np.sqrt(5)),
-                                           rel=1e-8)
-    assert shapes and all(len(shape) == 1 for shape in shapes)
+    for module, name in [(scipy.linalg, "solve_triangular"), (multop, "dtrmv"),
+                         (multop, "matmul")]:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    rho = max(r for _, r in trace())
+    assert rho == pytest.approx(5.94858521 * (1 if f == "kernel" else np.sqrt(5)), rel=1e-8)
+    assert {name for name, _ in calls} == {"dtrmv", "matmul"}
+    assert all(len(shape) == 1 for _, shape in calls)
 
 
 def test_s_matrix_names_bad_b_or_overflow(p3):
@@ -801,23 +809,34 @@ def test_truncation_basis_matches_gram_schmidt(n, seed, data):
     rng = np.random.default_rng(seed)
     m = Multiplier(net, rng.standard_normal(net.n) * (rng.random(net.n) < 0.7))
 
-    used = []
-    solve_triangular = scipy.linalg.solve_triangular
+    callers, bases = [], []
+    solve_triangular, iso = scipy.linalg.solve_triangular, checks._iso
 
-    def spy(a, *args, **kwargs):
-        used.append((a, solve_triangular(a, *args, **kwargs)))
-        return used[-1][1]
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve_triangular(*args, **kwargs)
+
+    class Coordinates(np.ndarray):
+        # l2 coordinates that record what they are multiplied by: the basis C
+        def __matmul__(self, other):
+            bases.append(other)
+            return np.asarray(self) @ other
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "solve_triangular", spy)
+        mp.setattr(checks, "_iso", lambda net, vals: iso(net, vals).view(Coordinates))
         resid = truncation_consistency(m, F_n, F_m)
+    # every triangular solve is one against the network's factor: the kernel
+    # columns, the prefix path's block solve and the l2 multiplication
+    # matrices; the basis C itself takes none
+    assert set(callers) <= {"kernel_columns", "_prefix_gram", "_mult_matrix"}
     # the Gram matrix over F_m with F_n leading, as truncation_consistency orders it
     gram = en.gram_matrix(net, F_m)
     V = gram.V.a
     k = len(F_n)
-    # C is the one solve against the leading block of the Gram factor (the
-    # kernel solves run against the network's factor)
-    (C,) = [x for a, x in used if a.shape == (k, k) and np.array_equal(a, gram.U[:k, :k])]
+    # C is the leading block of the Gram factor
+    (C,) = bases
+    assert np.array_equal(C, gram.W[:k, :k])
     want = gram_schmidt_V(V[:k, :k])
     assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
     assert resid <= 1e-9

@@ -134,7 +134,8 @@ def _kept_arrays(kind):
     yield "from_array", SymMatrix.from_array(H).a
     yield "laplacian_block", net.laplacian_block(net.x_index).a
     yield "grounded_factor", net.grounded_factor
-    yield "GramMatrix.U", en.gram_matrix(net, X).U
+    yield "GramMatrix.W, prefix", en.gram_matrix(net, X[:3]).W
+    yield "GramMatrix.W, general", en.gram_matrix(net, X[::-1]).W
     eye = np.eye(net.n, dtype=int)
     yield "cholesky", cholesky(SymMatrix.from_array(H + net.n * eye))
     yield "psd_check witness", en.psd_check(SymMatrix.from_array(eye - H)).witness

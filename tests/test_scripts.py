@@ -53,14 +53,15 @@ def test_untested_lines_on_one_test_file(tmp_path):
     lines = run_script("untested_lines.py", "-q", "-p", "no:cacheprovider", str(test))
     listed = {ln.split(" ", 1)[0] for ln in lines if ln.startswith("src/energynet/")}
     package = Path(en.__file__).parent
-    network, multop = package / "network.py", package / "multop.py"
+    network, numkernel = package / "network.py", package / "numkernel.py"
     # the generator's path branch ran, its size check did not
     path_edges = "edges = [(k, k + 1, w(k, k + 1)) for k in range(size - 1)]"
     assert _line_of(network, path_edges) not in listed
     assert _line_of(network, 'raise InvalidSize("path needs at least 2 vertices")') in listed
-    # a declaration carries no bytecode: never listed, though its body is
-    assert _line_of(multop, "nonlocal gram") not in listed
-    assert _line_of(multop, "U, gram = gram.U, None") in listed
+    # a function docstring carries no bytecode: never listed, though the body is
+    doc = '"""Upper-triangular U with A = U^H U, zeros below its diagonal: the one'
+    assert _line_of(numkernel, doc) not in listed
+    assert _line_of(numkernel, "return stored(scipy.linalg.cholesky(A.a))") in listed
     assert any(ln.startswith("1 passed") for ln in lines)
 
 
@@ -75,15 +76,30 @@ def test_bench_pairs_summary():
     bench_pairs = load_bench_pairs()
     base = [0.30, 0.32, 0.29, 0.31, 0.30]
     change = [0.24, 0.25, 0.30, 0.23, 0.24]
-    pairs = [({"t": b, "r": 1 / b}, {"t": c, "r": 1 / b}) for b, c in zip(base, change)]
-    lower, higher = bench_pairs.summary(
-        pairs, [{"name": "t", "better": "lower"}, {"name": "r", "better": "higher"}])
+    pairs = [({"t": b, "r": 1 / b, "m": b}, {"t": c, "r": 1 / b, "m": 1.2 * b})
+             for b, c in zip(base, change)]
+    lower, higher, worse, loose, spread = bench_pairs.summary(pairs, [
+        {"name": "t", "better": "lower", "bound": 0.25},
+        {"name": "r", "better": "higher", "bound": 0.25},
+        {"name": "m", "better": "lower", "bound": 0.1},
+        {"name": "m", "better": "lower", "bound": 0.25},
+        {"name": "m", "better": "lower", "bound": 0.01},
+    ])
     assert lower["base"] == pytest.approx((0.30, 0.30, 0.31))
     assert lower["change"] == pytest.approx((0.24, 0.24, 0.25))
     # the third pair is a loss; the medians differ by 0.06, the base IQR is 0.01
     assert (lower["wins"], lower["pairs"], lower["beyond_iqr"]) == (4, 5, True)
     # equal values are ties, which count for neither side
     assert (higher["wins"], higher["beyond_iqr"]) == (0, False)
+    assert (lower["verdict"], higher["verdict"]) == ("ok", "ok")
+    # a 20 % loss of the median: worse beyond a 10 % bound, within a 25 % one
+    assert (worse["verdict"], loose["verdict"]) == ("worse", "ok")
+    # a 1 % bound is below the base IQR, 0.01 / 0.30, and change runs lose
+    assert spread["verdict"] == "unresolved"
+    # a change that beats every base run is resolved, however wide the base
+    (clear,) = bench_pairs.summary([(c, b) for b, c in pairs],
+                                   [{"name": "m", "better": "lower", "bound": 0.01}])
+    assert clear["verdict"] == "ok"
     assert bench_pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
+from energynet.multop import Multiplier, restricted_norm
 
 from conftest import random_network
 import oracle
@@ -68,6 +69,28 @@ def test_unit_tree_kernel_matches_the_closed_form(net, data):
 @pytest.mark.parametrize("family", sorted(TREES))
 def test_largest_unit_trees_match_the_closed_form(family):
     check_tree(TREES[family](SIZES[family][1], 0), 64, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("family", sorted(TREES))
+def test_point_mass_trace_matches_the_closed_form(family):
+    """On a unit-conductance tree ||M_{delta_x}|| = sqrt(c(x) r(x)), and the
+    restricted norm reaches it once F holds x and its neighbours in X, for
+    then (V_F^{-1})_xx = (W_k W_k^T)_xx = c(x).  Over the shortest such prefix
+    of X, at the two deepest x whose prefix has at most 512 vertices (which
+    keeps the four networks near 1 s)."""
+    net = TREES[family](SIZES[family][1], 0)
+    r, depth, _ = oracle.tree_kernel(net)
+    X = net.x_index
+    pos = np.full(net.n, -1)
+    pos[X] = np.arange(len(X))
+    # k(x), the length of that prefix: 1 + the last position of x and its neighbours
+    k = 1 + np.maximum(pos, np.maximum.reduceat(pos[net.indices], net.indptr[:-1]))
+    near = X[k[X] <= 512]
+    for i in near[np.argsort(-depth[near], kind="stable")[:2]]:
+        x = net.vertices[i]
+        rho = restricted_norm(Multiplier.delta(net, x), net.x_vertices[: k[i]])
+        exact = np.sqrt(net.conductance[i] * r[i])
+        assert abs(rho - exact) <= 4 * depth[i] * EPS * exact
 
 
 def test_tree_kernel_closed_form_by_hand():
