@@ -5,7 +5,7 @@ bisect_bound.  No production module imports this one.
 
 The operator checks work in l2 coordinates: a grounded u is written as
 W^T u|X, with L_X = W W^T the network's grounded factor, an isometry under
-which energy adjoints are conjugate transposes (dense, O(n^3))."""
+which energy adjoints are conjugate transposes (dense, O(n^3)).  Kernel columns have rows on X."""
 
 from __future__ import annotations
 
@@ -44,10 +44,10 @@ def hermitian_defect(m, u, v):
     return energy_form(apply(m, u), v) - energy_form(u, apply(m, v))
 
 
-def _iso(net, vals):
+def _iso(net, rows):
     """W^T u|X for L_X = W W^T: an isometry of the energy space onto l2, for
-    one grounded function or one per column of an n x k array."""
-    return net.grounded_factor.T @ vals[net.x_index]
+    the values u|X of one grounded function or one per column, rows on X."""
+    return net.grounded_factor.T @ rows
 
 
 def _mult_matrix(net, f):
@@ -75,11 +75,11 @@ def rank_one_identities(net, x, y):
     discrepancy."""
     _require_in_X(net, x, y)
     K = kernel_columns(net, net.x_index)
-    # column of z: its dense index, less one past the origin
-    vx, vy = (ground(net, K[:, i - (i > net.origin_index)]) for i in map(net.index, (x, y)))
+    cols = K[:, net.x_position([net.index(x), net.index(y)])]
+    vx, vy = (ground(net, c) for c in np.insert(cols, net.origin_index, 0.0, axis=0).T)
     deltax, deltay = delta(net, x), delta(net, y)
     Y = _iso(net, K)
-    kvx, kvy, kdx, kdy = (_iso(net, u.values) for u in (vx, vy, deltax, deltay))
+    kvx, kvy, kdx, kdy = (_iso(net, u.values[net.x_index]) for u in (vx, vy, deltax, deltay))
 
     Mx, My = _mult_matrix(net, deltax.values), _mult_matrix(net, deltay.values)
     dd = energy_form(deltax, deltay)
@@ -100,10 +100,10 @@ def normalized_projections(net, x, y):
     displayed product rules.  Returns the max operator-norm residual."""
     _require_in_X(net, x, y)
     K = kernel_columns(net, [net.index(x), net.index(y)])
-    vx, vy = ground(net, K[:, 0]), ground(net, K[:, 1])
+    vx, vy = (ground(net, c) for c in np.insert(K, net.origin_index, 0.0, axis=0).T)
     dxv, dyv = delta(net, x), delta(net, y)
     ux, uy, dx, dy = (u * (1.0 / np.sqrt(u.energy)) for u in (vx, vy, dxv, dyv))
-    kux, kuy, kdx, kdy = (_iso(net, u.values) for u in (ux, uy, dx, dy))
+    kux, kuy, kdx, kdy = (_iso(net, u.values[net.x_index]) for u in (ux, uy, dx, dy))
 
     Ux, Uy = _ket(kux, kux), _ket(kuy, kuy)
     Dx, Dy = _ket(kdx, kdx), _ket(kdy, kdy)
@@ -157,7 +157,7 @@ def truncation_consistency(m, F_n, F_m, samples=None):
     if samples is None:
         Y = _iso(net, kernel_columns(net, net.x_index))
     else:
-        Y = _iso(net, np.column_stack([u.values for u in samples]))
+        Y = _iso(net, np.column_stack([u.values[net.x_index] for u in samples]))
     return _worst(D, Y)
 
 

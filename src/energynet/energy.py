@@ -10,11 +10,12 @@ values (`np.array_equal`), not by `==`, which is identity.
 Cost model: each network holds one factor of its grounded Laplacian,
 L_X = W W^T with W upper triangular and rows X in the order of
 Network.x_index (Network.grounded_factor, built on first use), and every
-kernel query is two triangular solves against W.  A Gram matrix V_F holds
-its inverse's factor in the same convention, V_F^{-1} = W_F W_F^T (the Kron
-reduction of L_X onto F).  Over a prefix F of X (its first k vertices, as
-every exhaustion of the CLI is) W_F = W[:k, :k], and V_F = U^T U with
-U = W_F^{-1} costs one triangular inverse and one symmetric rank-k product.
+kernel query is two triangular solves against W, giving kernel columns K with
+rows on X.  A Gram matrix V_F holds its inverse's factor in the same
+convention, V_F^{-1} = W_F W_F^T (the Kron reduction of L_X onto F).  Over a
+prefix F of X (its first k vertices, as every exhaustion of the CLI is)
+W_F = W[:k, :k], and V_F = U^T U, K's first k rows, costs one triangular
+inverse of W_F and one symmetric rank-k product.
 Over any other F it costs |F| solves and one Cholesky factor of V_F, then
 inverted.  Either way V_F is cross-checked by the reproducing identity,
 whose pairings <v_x, v_y> come from one symmetric rank-|F| update over the
@@ -103,20 +104,23 @@ def energy_form(u, v):
 
 
 def kernel_columns(net, idx):
-    """Grounded kernel vectors v_x for the dense indices idx (origin
-    excluded) as the columns of an n x len(idx) array: one solve of
+    """Grounded kernel vectors v_x for the dense indices idx (origin excluded)
+    as the columns of an (n-1) x len(idx) array, rows on X: one solve of
     L_X K = E_idx against the network's factor L_X = W W^T, as the two
-    triangular solves W Y = E_idx and W^T K = Y."""
-    idx = np.asarray(idx, dtype=np.intp)
+    triangular solves W Y = E_idx and W^T K = Y; InvalidInput on overflow."""
     W = net.grounded_factor
-    rhs = np.zeros((net.n - 1, idx.size), order="F")  # F-ordered: both solves in place
-    rhs[idx - (idx > net.origin_index), np.arange(idx.size)] = 1.0
+    rhs = np.zeros((net.n - 1, len(idx)), order="F")  # F-ordered: both solves in place
+    rhs[net.x_position(idx), np.arange(len(idx))] = 1.0
     Y = scipy.linalg.solve_triangular(W, rhs, check_finite=False, overwrite_b=True)
-    cols = np.zeros((net.n, idx.size))
-    cols[net.x_index] = scipy.linalg.solve_triangular(
-        W, Y, trans="T", check_finite=False, overwrite_b=True
-    )
-    return cols
+    K = scipy.linalg.solve_triangular(W, Y, trans="T", check_finite=False, overwrite_b=True)
+    return _finite(K)
+
+
+def _finite(K):
+    """K, or InvalidInput if a kernel value overflowed (ill-scaled conductances)."""
+    if not np.isfinite(K).all():
+        raise InvalidInput("the energy kernel overflows: a kernel value is not finite")
+    return K
 
 
 def energy_kernel(net, x):
@@ -128,7 +132,7 @@ def energy_kernel(net, x):
     xi = net.index(x)
     if xi == net.origin_index:
         return zero_vector(net)
-    return ground(net, kernel_columns(net, [xi])[:, 0])
+    return ground(net, np.insert(kernel_columns(net, [xi])[:, 0], net.origin_index, 0.0))
 
 
 def effective_resistance(net, x):
@@ -162,7 +166,7 @@ def gram_matrix(net, F):
 
 
 def _gram_and_columns(net, F):
-    """gram_matrix(net, F) and the n x |F| kernel columns it was read from.
+    """gram_matrix(net, F) and the kernel columns it was read from, rows on X.
     A prefix F of X, the first k entries of x_index (every exhaustion the
     CLI builds), reads V and W from the network's factor (_prefix_gram);
     any other F solves for its kernel columns and factors V."""
@@ -174,7 +178,7 @@ def _gram_and_columns(net, F):
         V, W, K = _prefix_gram(net, len(idx))
     else:
         K = kernel_columns(net, idx)
-        V = K[idx]
+        V = K[net.x_position(idx)]
     bad = _first_mismatch(net, K, V)
     if bad:
         i, j, form = bad
@@ -202,9 +206,9 @@ def _prefix_gram(net, k):
     """(V, W_k, K) over the prefix F = x_index[:k], from L_X = W W^T: the
     leading block of W^{-T} W^{-1} is V = U^T U, exactly symmetric, with
     U = W_k^{-1} kept only until V is formed, and W_k = W[:k, :k] (W itself
-    when F = X, else a copy).  K holds the kernel columns at F: V on F, 0 at
-    the origin, and on X \\ F the block solve W22^T K2 = -W12^T V of
-    W^T K = [U; 0], with W12 = W[:k, k:] and W22 = W[k:, k:]."""
+    when F = X, else a copy).  K is the kernel columns at F: V itself when
+    F = X, else V stacked over the block solve W22^T K2 = -W12^T V of
+    W^T K = [U; 0], W12 = W[:k, k:], W22 = W[k:, k:].  InvalidInput on overflow."""
     W = net.grounded_factor
     # a copy: dtrtri with overwrite_c writes into its argument even where that
     # is read-only (a 1 x 1 W[:1, :1] is a contiguous view); info is 0, W's
@@ -212,33 +216,33 @@ def _prefix_gram(net, k):
     U, _ = dtrtri(np.array(W[:k, :k], order="F"), overwrite_c=1)
     upper = dsyrk(1.0, U, trans=1)  # U^T U in the upper triangle, 0 below it
     del U
-    K = np.zeros((net.n, k))
-    # F = X with the origin first (every generated network): K is V below a
-    # zero row, so V is a view of K, and no second n x n array is held
-    full = k == net.n - 1 and net.origin_index == 0
-    V = K[1:] if full else np.empty((k, k))
-    np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
+    K = np.empty((net.n - 1, k))
+    V = K[:k]
+    with np.errstate(over="ignore"):  # only a doubled diagonal entry can overflow
+        np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
     np.fill_diagonal(V, np.diagonal(upper))
     del upper
-    if not full:
-        K[net.x_index[:k]] = V
     if k < net.n - 1:
-        rest = -matmul(W[:k, k:].T, V)
-        K[net.x_index[k:]] = scipy.linalg.solve_triangular(
-            W[k:, k:], rest, trans="T", check_finite=False, overwrite_b=True
+        K[k:] = scipy.linalg.solve_triangular(
+            W[k:, k:], -matmul(W[:k, k:].T, V), trans="T", check_finite=False, overwrite_b=True
         )
-    return stored(V), stored(np.ascontiguousarray(W[:k, :k])), K
+        V = V.copy()  # a kept Gram matrix then holds k x k, not all of K
+    return stored(V), stored(np.ascontiguousarray(W[:k, :k])), _finite(K)
 
 
 def _first_mismatch(net, K, V):
     """The first (i, j, form_ij), i <= j, where the energy pairing
-    form_ij = <v_i, v_j> of the real kernel columns K differs from the kernel
-    value V_ij by more than 1e-9 max(1, |form_ij|); None if none does.  The
-    pairings are D^T D, D the conductance-scaled edge differences of K, from
-    one rank-k update (BLAS syrk) that fills the upper triangle only; the
+    form_ij = <v_i, v_j> of the real kernel columns K is NaN or differs from
+    the kernel value V_ij by more than 1e-9 max(1, |form_ij|); None if none
+    does.  The pairings are D^T D, D the conductance-scaled edge differences of
+    K, from one rank-k update (BLAS syrk) filling the upper triangle only; the
     comparison runs in place, and its arrays die here."""
-    D = K[net.edge_i]
-    D -= K[net.edge_j]
+    # edge ends on X; v(o) = 0 and D^T D ignores signs: an origin edge is its X end's row
+    i, j, o = net.edge_i, net.edge_j, net.origin_index
+    a, b = net.x_position(np.where(i == o, j, i)), net.x_position(np.where(j == o, i, j))
+    D = K[a]
+    D -= K[b]
+    D[a == b] = K[a[a == b]]
     D *= np.sqrt(net.edge_w)[:, None]
     form = dsyrk(1.0, D.T)  # D.T is Fortran-ordered: no copy
     del D
@@ -247,7 +251,7 @@ def _first_mismatch(net, K, V):
     tol = np.abs(form)
     np.maximum(tol, 1.0, out=tol)
     tol *= 1e-9
-    bad = np.argwhere(np.triu(err > tol))
+    bad = np.argwhere(np.triu(~(err <= tol)))
     return (*bad[0], form[tuple(bad[0])]) if bad.size else None
 
 

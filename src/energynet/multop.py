@@ -104,7 +104,7 @@ def _nested_levels(m, exhaustion):
         # any finite f, and rho_F(f) = s rho_F(g)
         amax = np.maximum(np.abs(fv.real), np.abs(fv.imag)).max()
         s = float(np.ldexp(1.0, np.frexp(amax)[1] - 1)) if amax else 1.0
-        g = fv / s
+        g = _by_parts(lambda y: y / s)(fv)  # numpy's complex / s overflows for a subnormal s
         out = []
         for F in exhaustion:
             k = len(F)
@@ -122,7 +122,7 @@ def _nested_levels(m, exhaustion):
             resid = np.linalg.norm(gk * matmul(Vk, np.conj(gk) * xi) - lam * matmul(Vk, xi))
             # diagonal entries of psd matrices bound their spectral norms below
             scale = np.max(np.abs(gk) ** 2 * d) + abs(lam) * d.max()
-            if resid > 1e-8 * max(scale, 1e-300):
+            if not resid <= 1e-8 * max(scale, 1e-300):  # NaN fails too
                 raise InvariantViolation(
                     f"pencil residual {resid:.3e} exceeds tolerance at |F| = {k}"
                 )
@@ -133,16 +133,16 @@ def _nested_levels(m, exhaustion):
 
 
 def _s(b, fv, V):
-    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv and V."""
+    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv; f f* by parts, so exactly Hermitian."""
     if not (b >= 0 and np.isfinite(b)):
         raise InvalidInput(f"b must be finite and nonnegative: {float(b)!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        S = (b * b - np.outer(fv, np.conj(fv))) * V
+        S = (b * b - _by_parts(lambda y: np.outer(y, np.conj(fv)))(fv)) * V
     if not np.isfinite(S).all():
         raise InvalidInput(
             f"the certificate matrix (b^2 - f f*) V overflows at the finite b = {float(b)!r}"
         )
-    return SymMatrix.from_array(S, tol=1e-9)
+    return SymMatrix(stored(S), 0.0)
 
 
 def s_matrix(m, b, F):
@@ -185,7 +185,7 @@ def _sufficiency_bound(m, R):
     R = R[supp]
     rest = supp[np.isnan(R)]
     if rest.size:
-        R[np.isnan(R)] = np.diagonal(kernel_columns(net, rest)[rest])
+        R[np.isnan(R)] = np.diagonal(kernel_columns(net, rest)[net.x_position(rest)])
     return float(np.sum(np.abs(m.f[supp]) * np.sqrt(net.conductance[supp] * R)))
 
 

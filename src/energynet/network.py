@@ -4,8 +4,8 @@ A network is a finite connected graph with symmetric positive conductances
 and a distinguished origin vertex.  Vertices keep their insertion order and
 all matrix-valued quantities downstream index vertices by that order.  The
 network owns X = G \\ {o}, the index set of the reproducing kernel:
-Network.x_index lists its dense indices and Network.x_vertices its ids, and
-no other module rebuilds either.
+Network.x_index lists its dense indices, Network.x_vertices its ids and
+Network.x_position inverts x_index, and no other module rebuilds any of them.
 
 A function on the vertices is one type, VertexFunction: the network and its
 values in vertex order.  Multipliers (multop.Multiplier) are its subclass
@@ -84,6 +84,10 @@ class Network:
         L[self.edge_i, self.edge_j] = L[self.edge_j, self.edge_i] = -self.edge_w
         np.fill_diagonal(L, self.conductance)
         return L
+
+    def x_position(self, idx):
+        """The inverse of x_index: positions in X of dense indices idx, not the origin's."""
+        return idx - (np.asarray(idx) > self.origin_index)
 
     def laplacian_block(self, idx):
         """The principal block of laplacian_matrix() on the dense indices idx,

@@ -202,6 +202,7 @@ def test_error_exit_code(capsys):
     assert capsys.readouterr().err.endswith("error: use exactly one of --gen and --net\n")
 
 
+_OVERFLOW_CSV = str(Path(__file__).parent / "data" / "kernel_overflow.csv")
 _INVALID = [
     ["gram", "--gen", "path:3", "--F", "1,1"],
     ["mult", "--gen", "path:3", "--f", "delta:1", "--bound", "-1"],
@@ -227,6 +228,16 @@ _INVALID = [
     ["mult", "--gen", "path:3", "--f", "const:1e160", "--bound", "1"],
     # a finite f whose modulus |f| itself overflows
     ["mult", "--gen", "path:3", "--f", "const:1.5e308+1.5e308j", "--estimate"],
+    # conductances of 1e-308 pass the loader, but R(2) = 2e308 overflows:
+    # the kernel refuses it on every path (gram's 1,2 is a prefix of X)
+    *([cmd, "--net", _OVERFLOW_CSV, "--origin", "0", *rest] for cmd, *rest in [
+        ["kernel", "--vertex", "2"],
+        ["gram", "--F", "1,2"],
+        ["gram", "--F", "2,1"],
+        ["mult", "--f", "delta:1"],
+        ["walk", "--vertex", "2", "--samples", "10"],
+        ["banach", "--u", "kernel:2"],
+    ]),
 ]
 
 
@@ -266,6 +277,25 @@ def test_banach_overflow_exits_2(tmp_path, values, u2, message):
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "spec, argv, verdict",
+    [
+        # |f| = sqrt(2) 1e-310: a complex f divided by its subnormal scale as
+        # one complex division overflowed, and the NaN trace certified 0
+        ("const:1e-310-1e-310j", ["--exhaust", "1"], "certified<=1.41421356237e-310"),
+        # the same NaN ended in an eigensolver traceback
+        ("const:1e-310j", ["--bound", "1"], "PASS<=1"),
+        ("const:1e-310", ["--bound", "1"], "PASS<=1"),
+    ],
+)
+def test_subnormal_multiplier(capsys, spec, argv, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape main
+        code, doc = run_json(capsys, "mult", "--gen", "path:3", "--f", spec, *argv)
+    assert code == 0 and doc["verdict"] == verdict
+    assert doc["best_lower"] <= abs(complex(spec[6:])) * (1 + 1e-12)
 
 
 def test_invalid_input_exits_2_as_module():

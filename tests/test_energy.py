@@ -215,13 +215,44 @@ def test_gram_records_the_solved_defect():
     net = random_network(40, seed=0)
     xs = x_vertices(net)[::-1]
     idx = [net.index(x) for x in xs]
-    raw = en.energy.kernel_columns(net, idx)[idx]
+    raw = en.energy.kernel_columns(net, idx)[net.x_position(idx)]
     defect = np.abs(raw - raw.T).max() / max(1.0, np.abs(raw).max())
     gram = en.gram_matrix(net, xs)
     assert defect > 0 and gram.V.defect == defect
     assert np.array_equal(gram.V.a, (raw + raw.T) / 2)
     prefix = en.gram_matrix(net, xs[::-1])
     assert prefix.V.defect == 0.0 and np.array_equal(prefix.V.a, prefix.V.a.T)
+
+
+@pytest.mark.parametrize("origin", [0, 100, 200])
+def test_gram_over_x_is_the_kernel_columns(origin):
+    """Kernel columns have their rows on X, so over F = X the Gram matrix is
+    the kernel block itself, wherever the origin sits: no second n x n array."""
+    net = en.build_network([(k, k + 1, 1.0) for k in range(200)], origin=origin)
+    gram, K = en.energy._gram_and_columns(net, net.x_vertices)
+    assert K.shape == (200, 200) and np.shares_memory(K, gram.V.a)
+    assert np.array_equal(K, gram.V.a)
+
+
+@pytest.mark.parametrize("origin", [0, 100, 200])
+def test_short_prefix_gram_holds_no_kernel_columns(origin):
+    """Over a prefix shorter than X, V is K's first rows in a k x k array of
+    its own: a kept Gram matrix does not hold the (n-1) x k columns."""
+    net = en.build_network([(k, k + 1, 1.0) for k in range(200)], origin=origin)
+    gram, K = en.energy._gram_and_columns(net, net.x_vertices[:50])
+    assert K.shape == (200, 50) and gram.V.a.base is None
+    assert np.array_equal(K[:50], gram.V.a)
+
+
+def test_gram_cross_check_fails_on_nan():
+    # a NaN pairing is a mismatch, not a pass: NaN > tol is False
+    net = en.generate("path", 4)
+    gram, K = en.energy._gram_and_columns(net, net.x_vertices)
+    V = np.array(gram.V.a)
+    assert en.energy._first_mismatch(net, K, V) is None
+    V[1, 2] = np.nan
+    i, j, _ = en.energy._first_mismatch(net, K, V)
+    assert (i, j) == (1, 2)
 
 
 @st.composite

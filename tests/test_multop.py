@@ -203,16 +203,34 @@ def test_nested_levels_match_per_level(seed):
         assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 10**6), st.data())
+def test_s_matrix_is_exactly_hermitian(n, seed, data):
+    """S is Hermitian bit for bit with no symmetrization, for complex f, over
+    a prefix of X and over any other set, with the origin anywhere."""
+    net = random_network(n, seed)
+    net = en.build_network(net.edges, origin=data.draw(st.sampled_from(net.vertices)))
+    rng = np.random.default_rng(seed)
+    m = Multiplier(net, rng.standard_normal(net.n) + 1j * rng.standard_normal(net.n))
+    X = net.x_vertices
+    k = data.draw(st.integers(1, len(X)))
+    for F in (X[:k], data.draw(st.permutations(X))[:k]):
+        S = s_matrix(m, rng.uniform(0.0, 3.0), F)
+        assert S.defect == 0.0 and np.array_equal(S.a, S.a.conj().T)
+
+
 def test_one_s_matrix_per_bound(monkeypatch):
     """S is formed once per bound over the outer set, however many levels the
-    exhaustion has: one Hermitian check per bound, and none for the Gram
-    matrix over a prefix of X, which is symmetric by construction."""
+    exhaustion has, and no Hermitian check runs: S is Hermitian by
+    construction, and so is the Gram matrix over a prefix of X."""
     net = en.generate("integer_segment", 12)
     m = Multiplier.from_kernel(net, 3)
     xs = x_vertices(net)
-    calls = []
+    calls, hermitian_checks = [], []
+    s = multop._s
+    monkeypatch.setattr(multop, "_s", lambda *a: calls.append(1) or s(*a))
     from_array = en.SymMatrix.from_array.__func__
-    counted = classmethod(lambda *a, **k: calls.append(1) or from_array(*a, **k))
+    counted = classmethod(lambda *a, **k: hermitian_checks.append(1) or from_array(*a, **k))
     monkeypatch.setattr(en.SymMatrix, "from_array", counted)
     rho = restricted_norm(m, xs)
     counts = {}
@@ -230,6 +248,7 @@ def test_one_s_matrix_per_bound(monkeypatch):
             counts[levels].append(len(calls))
     assert counts[2] == counts[6]
     assert counts[2][:3] == [1, 1, 1]
+    assert hermitian_checks == []
 
 
 def test_witnesses_from_one_subset_eigensolve(monkeypatch):
@@ -919,7 +938,7 @@ def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
     assert rank_one_identities(net, x, y) <= 1e-12
     assert normalized_projections(net, x, y) <= 1e-12
     kernel_columns = en.energy.kernel_columns
-    row = net.index(xs[-2])
+    row = net.x_position(net.index(xs[-2]))  # K has its rows on X
 
     def perturbed(net, idx):
         K = kernel_columns(net, idx)
@@ -940,7 +959,7 @@ def test_gram_cross_check_sees_a_perturbed_kernel_solve(monkeypatch, capsys):
     def perturbed(net, idx):
         K = kernel_columns(net, idx)
         if len(idx) > 1:
-            K[idx[1], 0] += 1e-6
+            K[net.x_position(idx[1]), 0] += 1e-6  # K has its rows on X
         return K
 
     monkeypatch.setattr(en.energy, "kernel_columns", perturbed)

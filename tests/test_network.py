@@ -184,6 +184,15 @@ def test_x_vertices_are_the_ids_of_x_index():
         assert net.x_vertices == tuple(net.vertices[i] for i in net.x_index.tolist())
 
 
+def test_x_position_inverts_x_index():
+    # the origin first, in the middle and last: the last is where an origin
+    # index would point one past the end of X
+    for origin in range(4):
+        net = en.build_network([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], origin=origin)
+        np.testing.assert_array_equal(net.x_position(net.x_index), np.arange(3))
+        assert net.x_position(net.x_index).dtype == np.intp
+
+
 def test_conductance_is_laplacian_diagonal(test_net):
     L = test_net.laplacian_matrix()
     for i, x in enumerate(test_net.vertices):
