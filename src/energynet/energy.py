@@ -9,17 +9,16 @@ values (`np.array_equal`), not by `==`, which is identity.
 
 Cost model: each network holds one factor of its grounded Laplacian,
 L_X = W W^T with W upper triangular and rows X in the order of
-Network.x_index (Network.grounded_factor, built on first use), and every
-kernel query is two triangular solves against W, giving kernel columns K with
-rows on X.  A Gram matrix V_F holds its inverse's factor in the same
-convention, V_F^{-1} = W_F W_F^T (the Kron reduction of L_X onto F).  Over a
-prefix F of X (its first k vertices, as every exhaustion of the CLI is)
-W_F = W[:k, :k], and V_F = U^T U, K's first k rows, costs one triangular
-inverse of W_F and one symmetric rank-k product.
-Over any other F it costs |F| solves and one Cholesky factor of V_F, then
-inverted.  Either way V_F is cross-checked by the reproducing identity,
-whose pairings <v_x, v_y> come from one symmetric rank-|F| update over the
-edges; nothing else is cached, in particular no kernel vector per vertex.
+Network.x_index (Network.grounded_factor, built on first use).  Every kernel
+query over F is one routine (_kernel): Y = W^{-1} E_F, the Gram matrix
+V_F = Y^T Y by one symmetric rank-|F| product, exactly symmetric, and the
+kernel columns K = W^{-T} Y, rows on X.  Over a prefix F of X (its first k
+vertices, as every exhaustion of the CLI is) Y is W[:k, :k]^{-1} over zeros.
+V_F holds its inverse's factor, V_F^{-1} = W_F W_F^T: W[:k, :k] over a
+prefix, else from V_F's Cholesky factor.  V_F is cross-checked by the
+reproducing identity: against the pairings <v_x, v_y>, one symmetric
+rank-|F| update over the edges, and off a prefix against K's rows at F too.
+Nothing else is cached, no kernel vector per vertex.
 The Dirac Gram matrix over F is the Laplacian block on F
 (Network.laplacian_block), and a projection onto the Dirac span over F is
 one solve against it.
@@ -41,7 +40,7 @@ from .errors import (
     OriginInF,
     UnknownVertex,
 )
-from .network import VertexFunction, laplacian_apply
+from .network import VertexFunction, laplacian_apply, require_values
 from .numkernel import SymMatrix, cholesky, matmul, spd_solve, sqrtm_psd, stored
 
 
@@ -80,7 +79,7 @@ def _edge_energy(net, uvals, vvals):
 def ground(net, values):
     """Build an EnergyVector: subtract the origin value, compute the energy."""
     vals = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
-    vals = stored(vals - vals[net.origin_index])
+    vals = stored(vals - require_values(net, vals)[net.origin_index])
     energy = float(np.real(_edge_energy(net, vals, vals)))
     return EnergyVector(net, vals, energy)
 
@@ -105,15 +104,58 @@ def energy_form(u, v):
 
 def kernel_columns(net, idx):
     """Grounded kernel vectors v_x for the dense indices idx (origin excluded)
-    as the columns of an (n-1) x len(idx) array, rows on X: one solve of
-    L_X K = E_idx against the network's factor L_X = W W^T, as the two
-    triangular solves W Y = E_idx and W^T K = Y; InvalidInput on overflow."""
+    as the columns of an (n-1) x len(idx) array, rows on X (_kernel)."""
+    return _kernel(net, idx)[1]
+
+
+def _kernel(net, idx):
+    """(V, K, W_F) for the dense indices idx, origin excluded: V = Y^T Y,
+    exactly symmetric, and K = W^{-T} Y, for Y = W^{-1} E_idx; InvalidInput
+    on overflow.  Over a prefix of X, Y is W[:k, :k]^{-1} over zeros, V is K's
+    first k rows (all of K when F = X) over the block solve W22^T K2 = -W12^T V,
+    and W_F = W[:k, :k] (a view), V^{-1} = W_F W_F^T; else W_F is None."""
     W = net.grounded_factor
-    rhs = np.zeros((net.n - 1, len(idx)), order="F")  # F-ordered: both solves in place
-    rhs[net.x_position(idx), np.arange(len(idx))] = 1.0
-    Y = scipy.linalg.solve_triangular(W, rhs, check_finite=False, overwrite_b=True)
-    K = scipy.linalg.solve_triangular(W, Y, trans="T", check_finite=False, overwrite_b=True)
-    return _finite(K)
+    n, k = net.n - 1, len(idx)
+    prefix = np.array_equal(idx, net.x_index[:k])
+    if prefix:
+        # a copy: dtrtri's overwrite_c writes even into a read-only view (a 1 x 1
+        # W[:1, :1] is contiguous); info is 0, W's diagonal being positive
+        Y, _ = dtrtri(np.array(W[:k, :k], order="F"), overwrite_c=1)
+        K = np.empty((n, k))
+        V = K[:k]
+    else:
+        Y = _unit_solve(net, idx)
+        V = np.empty((k, k))
+    upper = dsyrk(1.0, Y, trans=1)  # Y^T Y in the upper triangle, 0 below it
+    with np.errstate(over="ignore"):  # only a doubled diagonal entry can overflow
+        np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
+    np.fill_diagonal(V, np.diagonal(upper))
+    del upper
+    if not prefix:
+        _finite(V)
+        K = scipy.linalg.solve_triangular(W, Y, trans="T", check_finite=False, overwrite_b=True)
+        return stored(V), _finite(K), None
+    if k < n:
+        del Y
+        K[k:] = scipy.linalg.solve_triangular(  # 0.0 - ...: a unary minus makes -0.0
+            W[k:, k:], 0.0 - matmul(W[:k, k:].T, V), trans="T", check_finite=False, overwrite_b=True
+        )
+        V = V.copy()  # a kept Gram matrix then holds k x k, not all of K
+    return stored(V), _finite(K), W[:k, :k]
+
+
+def _unit_solve(net, idx):
+    """Y = W^{-1} E_idx, F-ordered: a second solve with Y runs in place."""
+    Y = np.zeros((net.n - 1, len(idx)), order="F")
+    Y[net.x_position(idx), np.arange(len(idx))] = 1.0
+    return scipy.linalg.solve_triangular(net.grounded_factor, Y, check_finite=False, overwrite_b=True)
+
+
+def _kernel_diagonal(net, idx):
+    """R(x) = V_xx for the dense indices idx: Y's squared column norms."""
+    Y = _unit_solve(net, idx)
+    with np.errstate(over="ignore"):
+        return _finite(np.square(Y, out=Y).sum(axis=0))
 
 
 def _finite(K):
@@ -148,7 +190,7 @@ class GramMatrix:
     """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X, and
     the upper triangular W with V^{-1} = W W^T: over a prefix of X the
     leading block of the network's factor (that array itself over all of X),
-    else the inverse of V's Cholesky factor."""
+    else the inverse of V's Cholesky factor.  V is symmetric by construction."""
 
     F: tuple
     V: SymMatrix
@@ -159,39 +201,29 @@ class GramMatrix:
 
 
 def gram_matrix(net, F):
-    """Gram matrix of the energy kernel over F: rows F of the kernel columns
-    at F, cross-checked against the reproducing identity
-    <v_x, v_y> = v_y(x) entrywise."""
+    """Gram matrix of the energy kernel over F (_kernel), cross-checked
+    against the reproducing identity <v_x, v_y> = v_y(x) entrywise."""
     return _gram_and_columns(net, F)[0]
 
 
 def _gram_and_columns(net, F):
-    """gram_matrix(net, F) and the kernel columns it was read from, rows on X.
-    A prefix F of X, the first k entries of x_index (every exhaustion the
-    CLI builds), reads V and W from the network's factor (_prefix_gram);
-    any other F solves for its kernel columns and factors V."""
+    """gram_matrix(net, F) and its kernel columns, rows on X."""
     F, idx = _distinct(net, F)
     if net.origin_index in idx:
         raise OriginInF("the origin cannot appear in F")
-    prefix = np.array_equal(idx, net.x_index[: len(idx)])
-    if prefix:
-        V, W, K = _prefix_gram(net, len(idx))
-    else:
-        K = kernel_columns(net, idx)
-        V = K[net.x_position(idx)]
-    bad = _first_mismatch(net, K, V)
+    V, K, W = _kernel(net, idx)  # off a prefix V is not K's rows at F: check those too
+    bad = _first_mismatch(net, K, V, None if W is not None else K[net.x_position(idx)])
     if bad:
-        i, j, form = bad
+        i, j, what, value = bad
         raise InvariantViolation(
-            f"Gram entry ({F[i]!r},{F[j]!r}): inner product {float(form)!r} "
-            f"disagrees with kernel value {float(V[i, j])!r}"
+            f"Gram entry ({F[i]!r},{F[j]!r}): {what} {float(value)!r} "
+            f"disagrees with the Gram value {float(V[i, j])!r}"
         )
-    if prefix:
-        return GramMatrix(F, SymMatrix(V, 0.0), W), K
-    V = SymMatrix.from_array(V, tol=1e-9)  # records the defect of the solved V
-    # factored here, so positive definiteness is an invariant of the type
-    W, _ = dtrtri(cholesky(V))  # info 0: the factor's diagonal is positive
-    return GramMatrix(F, V, stored(W)), K
+    V = SymMatrix(V, 0.0)
+    if W is None:
+        # factored here, so positive definiteness is an invariant of the type
+        W, _ = dtrtri(cholesky(V))  # info 0: the factor's diagonal is positive
+    return GramMatrix(F, V, stored(np.ascontiguousarray(W))), K
 
 
 def _distinct(net, F):
@@ -202,41 +234,13 @@ def _distinct(net, F):
     return F, [net.index(x) for x in F]
 
 
-def _prefix_gram(net, k):
-    """(V, W_k, K) over the prefix F = x_index[:k], from L_X = W W^T: the
-    leading block of W^{-T} W^{-1} is V = U^T U, exactly symmetric, with
-    U = W_k^{-1} kept only until V is formed, and W_k = W[:k, :k] (W itself
-    when F = X, else a copy).  K is the kernel columns at F: V itself when
-    F = X, else V stacked over the block solve W22^T K2 = -W12^T V of
-    W^T K = [U; 0], W12 = W[:k, k:], W22 = W[k:, k:].  InvalidInput on overflow."""
-    W = net.grounded_factor
-    # a copy: dtrtri with overwrite_c writes into its argument even where that
-    # is read-only (a 1 x 1 W[:1, :1] is a contiguous view); info is 0, W's
-    # diagonal being positive
-    U, _ = dtrtri(np.array(W[:k, :k], order="F"), overwrite_c=1)
-    upper = dsyrk(1.0, U, trans=1)  # U^T U in the upper triangle, 0 below it
-    del U
-    K = np.empty((net.n - 1, k))
-    V = K[:k]
-    with np.errstate(over="ignore"):  # only a doubled diagonal entry can overflow
-        np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
-    np.fill_diagonal(V, np.diagonal(upper))
-    del upper
-    if k < net.n - 1:
-        K[k:] = scipy.linalg.solve_triangular(
-            W[k:, k:], -matmul(W[:k, k:].T, V), trans="T", check_finite=False, overwrite_b=True
-        )
-        V = V.copy()  # a kept Gram matrix then holds k x k, not all of K
-    return stored(V), stored(np.ascontiguousarray(W[:k, :k])), _finite(K)
-
-
-def _first_mismatch(net, K, V):
-    """The first (i, j, form_ij), i <= j, where the energy pairing
-    form_ij = <v_i, v_j> of the real kernel columns K is NaN or differs from
-    the kernel value V_ij by more than 1e-9 max(1, |form_ij|); None if none
-    does.  The pairings are D^T D, D the conductance-scaled edge differences of
-    K, from one rank-k update (BLAS syrk) filling the upper triangle only; the
-    comparison runs in place, and its arrays die here."""
+def _first_mismatch(net, K, V, values):
+    """The first (i, j, what, a_ij), i <= j, where a_ij is NaN or differs
+    from V_ij by more than 1e-9 max(1, |a_ij|), for a the energy pairings
+    <v_i, v_j> of the real kernel columns K ("inner product"), then for a =
+    values unless None ("kernel value"); None if none does.  The pairings are
+    D^T D, D the conductance-scaled edge differences of K, from one rank-k
+    update (BLAS syrk) filling the upper triangle only."""
     # edge ends on X; v(o) = 0 and D^T D ignores signs: an origin edge is its X end's row
     i, j, o = net.edge_i, net.edge_j, net.origin_index
     a, b = net.x_position(np.where(i == o, j, i)), net.x_position(np.where(j == o, i, j))
@@ -246,13 +250,17 @@ def _first_mismatch(net, K, V):
     D *= np.sqrt(net.edge_w)[:, None]
     form = dsyrk(1.0, D.T)  # D.T is Fortran-ordered: no copy
     del D
-    err = form - V
-    np.abs(err, out=err)
-    tol = np.abs(form)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= 1e-9
-    bad = np.argwhere(np.triu(~(err <= tol)))
-    return (*bad[0], form[tuple(bad[0])]) if bad.size else None
+    for what, a in (("inner product", form), ("kernel value", values)):
+        if a is not None:
+            err = a - V
+            np.abs(err, out=err)
+            tol = np.abs(a)
+            np.maximum(tol, 1.0, out=tol)
+            tol *= 1e-9
+            bad = np.argwhere(np.triu(~(err <= tol)))
+            if bad.size:
+                return (*bad[0], what, a[tuple(bad[0])])
+    return None
 
 
 def delta_gram(net, F):

@@ -73,6 +73,6 @@ class InsufficientEnclosure(EnergyNetError):
 class CapHit(EnergyNetError):
     """Excursion step cap reached; carries the partial estimate."""
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, estimate):
         super().__init__(message)
         self.estimate = estimate

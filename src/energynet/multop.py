@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dtrmv
 
-from .energy import effective_resistance, energy_kernel, gram_matrix, ground, kernel_columns
+from .energy import _kernel_diagonal, effective_resistance, energy_kernel, gram_matrix, ground
 from .errors import InvalidInput, InvariantViolation, NetworkMismatch, UnknownVertex
 from .network import VertexFunction, total_conductance
 from .numkernel import SymMatrix, _by_parts, matmul, psd_check, stored, top_eigpair
@@ -179,13 +179,13 @@ def sufficiency_bound(m):
 
 def _sufficiency_bound(m, R):
     """sufficiency_bound(m), with R(x) read from R (by dense index) where it
-    is not NaN and solved for the rest of supp f in one kernel solve."""
+    is not NaN and from one triangular solve for the rest of supp f."""
     net = m.net
     supp = net.x_index[m.f[net.x_index] != 0]
     R = R[supp]
     rest = supp[np.isnan(R)]
     if rest.size:
-        R[np.isnan(R)] = np.diagonal(kernel_columns(net, rest)[net.x_position(rest)])
+        R[np.isnan(R)] = _kernel_diagonal(net, rest)
     return float(np.sum(np.abs(m.f[supp]) * np.sqrt(net.conductance[supp] * R)))
 
 

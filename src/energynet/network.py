@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AsymmetricInput,
     Disconnected,
+    InvalidInput,
     InvalidSize,
     NonPositiveConductance,
     OriginMissing,
@@ -126,6 +127,13 @@ class Network:
         return f"Network(n={self.n}, edges={len(self.edges)}, origin={self.origin!r})"
 
 
+def require_values(net, values):
+    """values, or InvalidInput unless it holds one value per vertex: shape (n,)."""
+    if np.shape(values) != (net.n,):
+        raise InvalidInput(f"expected {net.n} vertex values, got shape {np.shape(values)}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class VertexFunction:
     """Scalar function on the vertices, stored in vertex order; `==` is identity."""
@@ -135,7 +143,7 @@ class VertexFunction:
 
     def __post_init__(self):
         # a read-only copy: a later write to the caller's array changes nothing here
-        object.__setattr__(self, "values", stored(np.array(self.values)))
+        object.__setattr__(self, "values", stored(require_values(self.net, np.array(self.values))))
 
     def __getitem__(self, x):
         return self.values[self.net.index(x)]

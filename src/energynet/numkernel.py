@@ -8,8 +8,8 @@ and a complex vector meets every matrix by parts (`_by_parts`: two calls, no
 complex copy of a real matrix).  Only `sym_eig` computes a full eigenbasis:
 `top_eigpair` runs a Krylov iteration on a matrix-vector product and
 `psd_check` a subset eigensolve for the smallest eigenpair.  Matrix
-arguments are `SymMatrix` only, checked Hermitian and finite once, by
-`SymMatrix.from_array`, where a matrix enters.
+arguments are `SymMatrix` only: `SymMatrix.from_array` checks arrays from
+outside, and every matrix built inside the package is Hermitian by construction.
 
 One BLAS: every dense matrix product (`matmul`, `gemv` in `top_eigpair`) and
 eigensolver here runs through `scipy.linalg`, its BLAS and LAPACK.  numpy and
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
+from .errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite, NotPsd
 
 HERMITIAN_TOL = 1e-12
 
@@ -56,16 +56,16 @@ class SymMatrix:
         return self.a.shape[0]
 
     @classmethod
-    def from_array(cls, arr, tol=HERMITIAN_TOL):
+    def from_array(cls, arr):
         arr = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+            raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("matrix has non-finite entries")
+            raise InvalidInput("matrix has non-finite entries")
         scale = max(1.0, np.abs(arr).max()) if arr.size else 1.0
         defect = float(np.abs(arr - arr.conj().T).max() / scale)
-        if defect > tol:
-            raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
+        if defect > HERMITIAN_TOL:
+            raise InvalidInput(f"matrix is not Hermitian (relative defect {defect:.3e})")
         return cls(stored(arr / 2 + arr.conj().T / 2), defect)  # halves first: cannot overflow
 
 
@@ -218,7 +218,7 @@ def top_eigpair(matvec, n):
 
 
 def sqrtm_psd(A):
-    """Unique psd square root via eigendecomposition.
+    """Unique psd square root via eigendecomposition, exactly Hermitian.
 
     Negative eigenvalues within the psd tolerance are clamped to zero.
     """
@@ -227,4 +227,4 @@ def sqrtm_psd(A):
     if not w[0] >= -tol:
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = matmul(q * np.sqrt(np.clip(w, 0.0, None)), q.conj().T)
-    return SymMatrix.from_array(root, tol=1e-10)
+    return SymMatrix(stored(root / 2 + root.conj().T / 2), 0.0)  # halves first: cannot overflow

@@ -372,7 +372,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert main(["gram", "--gen", "integer_segment:12", "--F", "3,7,9"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: Gram entry (7,7)") and len(err.splitlines()) == 1
+    assert err.startswith("internal error: Gram entry (3,7)") and len(err.splitlines()) == 1
 
 
 def test_pass_below_lower_bound_exits_3(capsys):

@@ -154,15 +154,16 @@ def test_gram_reproducing_consistency(test_net):
             assert abs(gm.V.a[i, j] - vx[y]) <= 1e-9
 
 
-def _perturbed_back_substitution(monkeypatch, by):
+def _perturbed_back_substitution(monkeypatch, by, which="T"):
     """Patch scipy.linalg.solve_triangular so that every transposed solve,
     the back substitution W^T K = Y of a kernel solve and the prefix path's
-    block solve, returns its column 1 moved by `by`."""
+    block solve, returns its column 1 moved by `by`; with which=0, every
+    forward solve W Y = E_F instead."""
     solve = scipy.linalg.solve_triangular
 
     def perturbed(a, b, trans=0, **kwargs):
         sol = solve(a, b, trans=trans, **kwargs)
-        if trans == "T":
+        if trans == which:
             sol[:, 1] += by
         return sol
 
@@ -173,7 +174,29 @@ def test_gram_cross_check_catches_bad_solve(monkeypatch):
     net = en.generate("integer_segment", 12)
     en.gram_matrix(net, [3, 7, 9])
     _perturbed_back_substitution(monkeypatch, 1e-6)
-    with pytest.raises(ArithmeticError, match=r"Gram entry \(7,7\)"):
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(3,7\)"):
+        en.gram_matrix(net, [3, 7, 9])
+
+
+def test_gram_cross_check_sees_a_bad_solve_at_first_order(monkeypatch):
+    # off a prefix, V = Y^T Y does not read the back substitution, so an
+    # error d = 5e-9 on X in the column v_7 moves the pairing <v_3, v_7 + d>
+    # by d(3) = 5e-9 and not the Gram value V_37 = 3: above the tolerance
+    # 3e-9 there.  Were V read from K, it would carry the error too, and only
+    # the second-order d-terms of the pairings would show
+    net = en.generate("integer_segment", 12)
+    _perturbed_back_substitution(monkeypatch, 5e-9)
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(3,7\)"):
+        en.gram_matrix(net, [3, 7, 9])
+
+
+def test_gram_cross_check_catches_bad_forward_solve(monkeypatch):
+    # off a prefix V = Y^T Y and K = W^{-T} Y share the forward solve's
+    # error D, so the pairings K^T L_X K = Y^T Y agree with V whatever D is;
+    # K's rows at F, Y^T (Y + D), differ from V by D^T Y and show it
+    net = en.generate("integer_segment", 12)
+    _perturbed_back_substitution(monkeypatch, 1e-6, which=0)
+    with pytest.raises(InvariantViolation, match=r"Gram entry \(7,7\): kernel value"):
         en.gram_matrix(net, [3, 7, 9])
 
 
@@ -207,23 +230,6 @@ def test_gram_cross_check_catches_bad_prefix_inverse(monkeypatch):
         en.gram_matrix(net, xs)
 
 
-def test_gram_records_the_solved_defect():
-    """Over a set that is not a prefix of X, V.defect is the relative
-    Hermitian defect of the solved kernel rows, measured before V is
-    symmetrized, and V is their symmetric part.  Over a prefix, V comes
-    from the network's factor as U^T U, exactly symmetric: defect 0."""
-    net = random_network(40, seed=0)
-    xs = x_vertices(net)[::-1]
-    idx = [net.index(x) for x in xs]
-    raw = en.energy.kernel_columns(net, idx)[net.x_position(idx)]
-    defect = np.abs(raw - raw.T).max() / max(1.0, np.abs(raw).max())
-    gram = en.gram_matrix(net, xs)
-    assert defect > 0 and gram.V.defect == defect
-    assert np.array_equal(gram.V.a, (raw + raw.T) / 2)
-    prefix = en.gram_matrix(net, xs[::-1])
-    assert prefix.V.defect == 0.0 and np.array_equal(prefix.V.a, prefix.V.a.T)
-
-
 @pytest.mark.parametrize("origin", [0, 100, 200])
 def test_gram_over_x_is_the_kernel_columns(origin):
     """Kernel columns have their rows on X, so over F = X the Gram matrix is
@@ -249,10 +255,13 @@ def test_gram_cross_check_fails_on_nan():
     net = en.generate("path", 4)
     gram, K = en.energy._gram_and_columns(net, net.x_vertices)
     V = np.array(gram.V.a)
-    assert en.energy._first_mismatch(net, K, V) is None
+    assert en.energy._first_mismatch(net, K, V, None) is None
+    assert en.energy._first_mismatch(net, K, V, V.copy()) is None
+    values = V.copy()
+    values[1, 2] = np.nan
+    assert en.energy._first_mismatch(net, K, V, values)[:3] == (1, 2, "kernel value")
     V[1, 2] = np.nan
-    i, j, _ = en.energy._first_mismatch(net, K, V)
-    assert (i, j) == (1, 2)
+    assert en.energy._first_mismatch(net, K, V, None)[:3] == (1, 2, "inner product")
 
 
 @st.composite
@@ -276,26 +285,29 @@ def gram_networks(draw):
 @settings(max_examples=60, deadline=None)
 @given(gram_networks(), st.data())
 def test_prefix_gram_equals_the_general_path(net, data):
-    """Over a prefix F of X, V and W come from the network's factor, and W is
-    its leading block bit for bit; the same set in another order is solved
-    for.  Re-permuted, the two V agree, and on both paths W is upper
+    """V = Y^T Y over every F: a prefix of X, whose W is the leading block of
+    the network's factor bit for bit, the same set in another order, and an
+    arbitrary subset of X.  On each, V equals its transpose bit for bit
+    (defect 0) and the block on F of the Gram matrix over X, and W is upper
     triangular with W^T V W = I."""
     X = net.x_vertices
+    full = en.gram_matrix(net, X).V.a
     k = data.draw(st.integers(1, len(X)))
-    F = X[:k]
     perm = data.draw(st.permutations(range(k)))
     if k > 1 and perm == sorted(perm):
         perm = perm[::-1]  # a prefix in its own order would take the same path
-    fast = en.gram_matrix(net, F)
-    general = en.gram_matrix(net, [F[i] for i in perm])
-    V = fast.V.a
-    back = np.argsort(perm)
-    assert np.abs(general.V.a[np.ix_(back, back)] - V).max() <= 1e-12 * np.abs(V).max()
-    assert np.array_equal(fast.W, net.grounded_factor[:k, :k])
-    for gram in (fast, general):
-        W = gram.W
+    subset = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, unique=True))
+    assert np.array_equal(en.gram_matrix(net, X[:k]).W, net.grounded_factor[:k, :k])
+    for pos in (list(range(k)), perm, subset):
+        gram = en.gram_matrix(net, [X[p] for p in pos])
+        V, W = gram.V.a, gram.W
+        assert np.array_equal(V, V.T) and gram.V.defect == 0.0
+        assert np.abs(V - full[np.ix_(pos, pos)]).max() <= 1e-12 * np.abs(V).max()
         assert np.array_equal(W, np.triu(W))
-        assert np.abs(W.T @ gram.V.a @ W - np.eye(k)).max() <= 1e-12
+        assert np.abs(W.T @ V @ W - np.eye(len(pos))).max() <= 1e-12
+        # R(x) = V_xx from the forward solve alone, as the sufficiency bound reads it
+        R = en.energy._kernel_diagonal(net, [net.index(X[p]) for p in pos])
+        assert np.abs(R - np.diagonal(V)).max() <= 1e-12 * np.abs(V).max()
 
 
 @settings(max_examples=30, deadline=None)

@@ -580,27 +580,30 @@ def test_analyze_upper_reads_gram_diagonal(monkeypatch):
     net = en.generate("integer_segment", 40)
     m = Multiplier.constant(net, 2.0)
     calls = []
-    kernel_columns = multop.kernel_columns
 
-    def counted(net, idx):
-        calls.append(list(idx))
-        return kernel_columns(net, idx)
+    def spy(name, query):
+        def counted(net, idx):
+            calls.append((name, list(idx)))
+            return query(net, idx)
 
-    monkeypatch.setattr(multop, "kernel_columns", counted)
-    monkeypatch.setattr(en.energy, "kernel_columns", counted)
-    # the default exhaustion's F_m = X is a prefix: V and R(x) = V_xx with no solve
+        return counted
+
+    monkeypatch.setattr(en.energy, "_kernel", spy("kernel", en.energy._kernel))
+    monkeypatch.setattr(multop, "_kernel_diagonal", spy("diagonal", en.energy._kernel_diagonal))
+    # the default exhaustion's F_m = X: R(x) = V_xx from its Gram matrix, no second query
     rep = analyze(m)
-    assert calls == []
+    assert calls == [("kernel", list(range(1, 41)))]
     assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
-    # support outside F_m: its R(x) comes from one solve for just those vertices
+    # support outside F_m: its R(x) comes from one forward solve for just
+    # those vertices, with no kernel columns
     calls.clear()
     rep = analyze(m, [(1, 2), (1, 2, 3)])
-    assert calls == [list(range(4, 41))]
+    assert calls == [("kernel", [1, 2, 3]), ("diagonal", list(range(4, 41)))]
     assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
-    # a set that is not a prefix is solved for, once
+    # a set that is not a prefix takes the same one query
     calls.clear()
     rep = analyze(m, [(2, 1), (2, 1, 3)])
-    assert calls == [[2, 1, 3], list(range(4, 41))]
+    assert calls == [("kernel", [2, 1, 3]), ("diagonal", list(range(4, 41)))]
     assert rep.upper_bound == pytest.approx(sufficiency_bound(m), rel=1e-12)
 
 
@@ -608,17 +611,16 @@ def test_default_samples_one_solve(monkeypatch):
     seg = en.generate("integer_segment", 8)
     m = Multiplier.from_kernel(seg, 3)
     calls = []
-    kernel_columns = checks.kernel_columns
+    kernel = en.energy._kernel
 
     def counted(net, idx):
         calls.append(list(idx))
-        return kernel_columns(net, idx)
+        return kernel(net, idx)
 
-    monkeypatch.setattr(checks, "kernel_columns", counted)
-    monkeypatch.setattr(en.energy, "kernel_columns", counted)
-    # the Gram matrix over the prefix (1, 2, 3, 4) needs no kernel solve
+    monkeypatch.setattr(en.energy, "_kernel", counted)
+    # one query for the Gram matrix over F_m, one for the default samples
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4]) <= 1e-9
-    assert calls == [list(range(1, 9))]
+    assert calls == [[1, 2, 3, 4], list(range(1, 9))]
     calls.clear()
     assert truncation_consistency(m, [3, 2, 1], [3, 2, 1, 4]) <= 1e-9
     assert calls == [[3, 2, 1, 4], list(range(1, 9))]
@@ -791,20 +793,19 @@ def test_truncation_consistency_solves_once(monkeypatch):
     m = Multiplier.from_kernel(seg, 3)
     samples = [random_energy_vector(seg, np.random.default_rng(k)) for k in range(3)]
     calls = []
-    kernel_columns = en.energy.kernel_columns
+    kernel = en.energy._kernel
 
     def counted(net, idx):
         calls.append(list(idx))
-        return kernel_columns(net, idx)
+        return kernel(net, idx)
 
-    monkeypatch.setattr(checks, "kernel_columns", counted)
-    monkeypatch.setattr(en.energy, "kernel_columns", counted)
+    monkeypatch.setattr(en.energy, "_kernel", counted)
+    # given samples, the Gram matrix over F_m is the only kernel query
     assert truncation_consistency(m, [3, 2, 1], [3, 2, 1, 4], samples) <= 1e-9
     assert calls == [[3, 2, 1, 4]]
-    # over a prefix of X the Gram matrix comes from the network's factor
     calls.clear()
     assert truncation_consistency(m, [1, 2, 3], [1, 2, 3, 4], samples) <= 1e-9
-    assert calls == []
+    assert calls == [[1, 2, 3, 4]]
 
 
 def gram_schmidt_V(V):
@@ -846,9 +847,9 @@ def test_truncation_basis_matches_gram_schmidt(n, seed, data):
         mp.setattr(checks, "_iso", lambda net, vals: iso(net, vals).view(Coordinates))
         resid = truncation_consistency(m, F_n, F_m)
     # every triangular solve is one against the network's factor: the kernel
-    # columns, the prefix path's block solve and the l2 multiplication
-    # matrices; the basis C itself takes none
-    assert set(callers) <= {"kernel_columns", "_prefix_gram", "_mult_matrix"}
+    # query (both solves, or a prefix's block solve) and the l2
+    # multiplication matrices; the basis C itself takes none
+    assert set(callers) <= {"_kernel", "_unit_solve", "_mult_matrix"}
     # the Gram matrix over F_m with F_n leading, as truncation_consistency orders it
     gram = en.gram_matrix(net, F_m)
     V = gram.V.a
@@ -953,22 +954,22 @@ def test_checks_see_a_perturbed_kernel_solve(monkeypatch):
 
 def test_gram_cross_check_sees_a_perturbed_kernel_solve(monkeypatch, capsys):
     # v_a perturbed by 1e-6 at b shifts <v_a, v_b> by 1e-6 but leaves the
-    # kernel value v_b(a) alone: the cross-check names the pair (a, b)
-    kernel_columns = en.energy.kernel_columns
+    # Gram value V_ab = (Y^T Y)_ab alone: the cross-check names the pair (a, b)
+    kernel = en.energy._kernel
 
     def perturbed(net, idx):
-        K = kernel_columns(net, idx)
+        V, K, W = kernel(net, idx)
         if len(idx) > 1:
             K[net.x_position(idx[1]), 0] += 1e-6  # K has its rows on X
-        return K
+        return V, K, W
 
-    monkeypatch.setattr(en.energy, "kernel_columns", perturbed)
+    monkeypatch.setattr(en.energy, "_kernel", perturbed)
     net = random_network(10, 3)
     a, b, c = x_vertices(net)[2:5]
     with pytest.raises(InvariantViolation, match=rf"Gram entry \({a!r},{b!r}\)"):
         en.gram_matrix(net, [a, b, c])
-    # mult's outer set F = X is a prefix: V = U^T U from U = W^{-1}, and no
-    # kernel solve.  U_01 perturbed by 1e-6 moves V's row and column 1 by
+    # mult's outer set F = X is a prefix: V = U^T U from U = W^{-1}, and K is
+    # V itself.  U_01 perturbed by 1e-6 moves V's row and column 1 by
     # 1e-6 U_0., and the pairings of the columns built from V by twice that
     dtrtri = en.energy.dtrtri
 

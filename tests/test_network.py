@@ -9,6 +9,7 @@ import energynet as en
 from energynet.errors import (
     AsymmetricInput,
     Disconnected,
+    InvalidInput,
     InvalidSize,
     NonPositiveConductance,
     OriginMissing,
@@ -103,6 +104,16 @@ def test_real_values_are_contiguous_float64(p3):
         assert not vals.flags.writeable
         assert vals.base is None or vals.base.dtype == np.float64
     assert Multiplier.from_dict(p3, {2: 1j}).f.dtype == np.complex128
+
+
+@pytest.mark.parametrize("values", [np.ones(6), np.ones(3), [2.0], np.ones((5, 1)), 2.0])
+def test_a_function_of_the_wrong_shape_is_refused(values):
+    # one value per vertex, shape (n,): a longer array was analyzed on its
+    # first n entries, and a shorter one failed later with a raw IndexError
+    net = en.generate("path", 5)
+    for build in (VertexFunction, Multiplier, en.ground):
+        with pytest.raises(InvalidInput, match=r"expected 5 vertex values, got shape"):
+            build(net, values)
 
 
 def test_equal_networks_hash_equal():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import energynet as en
 from energynet import numkernel
-from energynet.errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
+from energynet.errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite, NotPsd
 from energynet.numkernel import (
     SymMatrix,
     cho_solve,
@@ -293,10 +293,27 @@ def test_sqrtm_psd_roundtrip(seed, n):
     assert np.abs(b.a @ b.a - a).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
 
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_sqrtm_psd_root_is_exactly_hermitian(complex_input):
+    # the root is its product's Hermitian part, exact term for term, with no
+    # defect checked against a tolerance
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((12, 12))
+    if complex_input:
+        g = g + 1j * rng.standard_normal((12, 12))
+    a = g @ g.conj().T
+    root = en.sqrtm_psd(SymMatrix.from_array((a + a.conj().T) / 2))
+    assert np.iscomplexobj(root.a) == complex_input
+    assert np.array_equal(root.a, root.a.conj().T) and root.defect == 0.0
+    assert np.abs(root.a @ root.a - a).max() <= 1e-10 * np.abs(a).max()
+
+
 def test_symmatrix_rejects_nonhermitian():
-    with pytest.raises(ValueError):
+    # from_array is the entry check of an outside matrix: its refusals are the
+    # package's own errors (InvalidInput is a ValueError)
+    with pytest.raises(InvalidInput, match="not Hermitian"):
         SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+    with pytest.raises(InvalidInput, match=r"expected a square matrix, got shape \(2, 3\)"):
         SymMatrix.from_array(np.ones((2, 3)))
 
 
@@ -315,5 +332,5 @@ def test_eigensolver_failure_is_convergence_failure(monkeypatch):
 def test_symmatrix_rejects_non_finite(bad):
     # a NaN defect compares False against the tolerance, so finiteness is its own check
     for arr in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(InvalidInput, match="non-finite"):
             SymMatrix.from_array(np.array(arr))

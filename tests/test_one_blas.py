@@ -19,8 +19,10 @@ CLI_PATH = [
     numkernel.sym_eig,
     numkernel.sqrtm_psd,
     energy.kernel_columns,
+    energy._kernel,
+    energy._unit_solve,
+    energy._kernel_diagonal,
     energy._gram_and_columns,
-    energy._prefix_gram,
     energy._first_mismatch,
     multop._nested_levels,
     multop._sufficiency_bound,

@@ -168,4 +168,5 @@ def test_settable_values_on_a_fixed_snippet(tmp_path):
 def test_settable_values_of_the_package():
     lines = run_script("settable_values.py")
     assert all(ln.startswith("src/energynet/") for ln in lines[:-1])
-    assert lines[-1] == f"total: {len(lines) - 1}"
+    # a ratchet: a new default must be added here on purpose
+    assert lines[-1] == f"total: {len(lines) - 1}" == "total: 13"
