@@ -19,6 +19,13 @@ prefix, else from V_F's Cholesky factor.  V_F is cross-checked by the
 reproducing identity: against the pairings <v_x, v_y>, one symmetric
 rank-|F| update over the edges, and off a prefix against K's rows at F too.
 Nothing else is cached, no kernel vector per vertex.
+Memory: besides W, a Gram matrix over F = X holds V (which is K) and at most
+two more work arrays at once, each written in place: Y, or the cross-check's
+edge differences D (|E| x |F|) and pairings.  dsyrk writes V = Y^T Y into
+V's own buffer, its other triangle is mirrored a row panel at a time
+(numkernel.PANEL rows), and the cross-check builds D and compares the
+pairings with V a row panel at a time, so no whole-matrix numpy expression
+makes a temporary.
 The Dirac Gram matrix over F is the Laplacian block on F
 (Network.laplacian_block), and a projection onto the Dirac span over F is
 one solve against it.
@@ -41,7 +48,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply, require_values
-from .numkernel import SymMatrix, cholesky, matmul, spd_solve, sqrtm_psd, stored
+from .numkernel import PANEL, SymMatrix, cholesky, matmul, spd_solve, sqrtm_psd, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,22 +133,33 @@ def _kernel(net, idx):
     else:
         Y = _unit_solve(net, idx)
         V = np.empty((k, k))
-    upper = dsyrk(1.0, Y, trans=1)  # Y^T Y in the upper triangle, 0 below it
-    with np.errstate(over="ignore"):  # only a doubled diagonal entry can overflow
-        np.add(upper, upper.T, out=V)  # the upper triangle mirrored; the diagonal doubles
-    np.fill_diagonal(V, np.diagonal(upper))
-    del upper
+    # Y^T Y into V's own buffer: dsyrk's upper triangle of the F-ordered V^T
+    # is V's lower one, which is then mirrored
+    dsyrk(1.0, Y, beta=0.0, c=V.T, trans=1, overwrite_c=1)
+    _mirror_lower(V)
     if not prefix:
         _finite(V)
         K = scipy.linalg.solve_triangular(W, Y, trans="T", check_finite=False, overwrite_b=True)
         return stored(V), _finite(K), None
     if k < n:
         del Y
-        K[k:] = scipy.linalg.solve_triangular(  # 0.0 - ...: a unary minus makes -0.0
-            W[k:, k:], 0.0 - matmul(W[:k, k:].T, V), trans="T", check_finite=False, overwrite_b=True
+        rhs = matmul(W[:k, k:].T, V)
+        np.subtract(0.0, rhs, out=rhs)  # not a unary minus, which makes -0.0
+        K[k:] = scipy.linalg.solve_triangular(
+            W[k:, k:], rhs, trans="T", check_finite=False, overwrite_b=True
         )
         V = V.copy()  # a kept Gram matrix then holds k x k, not all of K
     return stored(V), _finite(K), W[:k, :k]
+
+
+def _mirror_lower(V):
+    """Copy the square V's lower triangle onto its upper one, in place, a row
+    panel at a time: the only temporaries are a panel's source and mask."""
+    k = len(V)
+    for r in range(0, k, PANEL):
+        rows = V[r : r + PANEL, r:]  # entry (i, j) is V[r + i, r + j]
+        above = np.arange(k - r) > np.arange(len(rows))[:, None]
+        np.copyto(rows, V[r:, r : r + PANEL].T, where=above)
 
 
 def _unit_solve(net, idx):
@@ -235,31 +253,38 @@ def _distinct(net, F):
 
 
 def _first_mismatch(net, K, V, values):
-    """The first (i, j, what, a_ij), i <= j, where a_ij is NaN or differs
-    from V_ij by more than 1e-9 max(1, |a_ij|), for a the energy pairings
-    <v_i, v_j> of the real kernel columns K ("inner product"), then for a =
-    values unless None ("kernel value"); None if none does.  The pairings are
-    D^T D, D the conductance-scaled edge differences of K, from one rank-k
-    update (BLAS syrk) filling the upper triangle only."""
+    """The first (i, j, what, a_ij) in row-major order, i <= j, where a_ij is
+    NaN or differs from V_ij by more than 1e-9 max(1, |a_ij|), for a the
+    energy pairings <v_i, v_j> of the real kernel columns K ("inner
+    product"), then for a = values unless None ("kernel value"); None if
+    none does.  The pairings are D^T D, D the conductance-scaled edge
+    differences of K, from one rank-k update (BLAS syrk) filling the upper
+    triangle only.  D is built and a compared with V a row panel at a time."""
     # edge ends on X; v(o) = 0 and D^T D ignores signs: an origin edge is its X end's row
     i, j, o = net.edge_i, net.edge_j, net.origin_index
     a, b = net.x_position(np.where(i == o, j, i)), net.x_position(np.where(j == o, i, j))
     D = K[a]
-    D -= K[b]
+    for r in range(0, len(D), PANEL):
+        D[r : r + PANEL] -= K[b[r : r + PANEL]]
     D[a == b] = K[a[a == b]]
     D *= np.sqrt(net.edge_w)[:, None]
     form = dsyrk(1.0, D.T)  # D.T is Fortran-ordered: no copy
     del D
     for what, a in (("inner product", form), ("kernel value", values)):
-        if a is not None:
-            err = a - V
+        if a is None:
+            continue
+        for r in range(0, len(V), PANEL):
+            # the panel's entries on and above the diagonal: (i, j) is (r + i, r + j)
+            ap = a[r : r + PANEL, r:]
+            err = ap - V[r : r + PANEL, r:]
             np.abs(err, out=err)
-            tol = np.abs(a)
+            tol = np.abs(ap)
             np.maximum(tol, 1.0, out=tol)
             tol *= 1e-9
             bad = np.argwhere(np.triu(~(err <= tol)))
             if bad.size:
-                return (*bad[0], what, a[tuple(bad[0])])
+                i, j = bad[0] + r
+                return i, j, what, a[i, j]
     return None
 
 

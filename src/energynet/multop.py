@@ -133,11 +133,17 @@ def _nested_levels(m, exhaustion):
 
 
 def _s(b, fv, V):
-    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv; f f* by parts, so exactly Hermitian."""
+    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv; f f* by parts, so
+    exactly Hermitian.  S is one buffer: the outer product, then b^2 minus it
+    and the product with V in place."""
     if not (b >= 0 and np.isfinite(b)):
         raise InvalidInput(f"b must be finite and nonnegative: {float(b)!r}")
+    # S is float or complex before it is written in place: an integer f f* cannot hold b^2 - f f*
+    fv = np.asarray(fv, dtype=np.result_type(fv, V))
     with np.errstate(over="ignore", invalid="ignore"):
-        S = (b * b - _by_parts(lambda y: np.outer(y, np.conj(fv)))(fv)) * V
+        S = _by_parts(lambda y: np.outer(y, np.conj(fv)))(fv)
+        np.subtract(b * b, S, out=S)
+        S *= V
     if not np.isfinite(S).all():
         raise InvalidInput(
             f"the certificate matrix (b^2 - f f*) V overflows at the finite b = {float(b)!r}"

@@ -11,6 +11,12 @@ complex copy of a real matrix).  Only `sym_eig` computes a full eigenbasis:
 arguments are `SymMatrix` only: `SymMatrix.from_array` checks arrays from
 outside, and every matrix built inside the package is Hermitian by construction.
 
+Memory: the `mult` path holds the network's factor W, the Gram matrix V and
+at most two more n x n work arrays (the cross-check's edge differences and
+pairings, or S and the eigensolver's copy of it), each written in place.  No
+whole-matrix numpy expression makes a temporary: what needs one (a mirrored
+triangle, a comparison, a row norm) runs over row panels of PANEL rows.
+
 One BLAS: every dense matrix product (`matmul`, `gemv` in `top_eigpair`) and
 eigensolver here runs through `scipy.linalg`, its BLAS and LAPACK.  numpy and
 scipy each load their own OpenBLAS build, and each build keeps its own
@@ -33,6 +39,7 @@ import scipy.linalg
 from .errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite, NotPsd
 
 HERMITIAN_TOL = 1e-12
+PANEL = 64  # rows per panel: a panel's temporaries hold PANEL x n entries
 
 
 def stored(a):
@@ -152,7 +159,9 @@ def sym_eig(A):
 
 
 def default_psd_tol(A):
-    norm_inf = np.abs(A.a).sum(axis=1).max() if A.n else 0.0
+    """1e-9 max(1, ||A||_inf), the row sums of |A| taken a row panel at a time."""
+    norm_inf = max((np.abs(A.a[r : r + PANEL]).sum(axis=1).max() for r in range(0, A.n, PANEL)),
+                   default=0.0)
     return 1e-9 * max(1.0, norm_inf)
 
 

@@ -16,6 +16,7 @@ from energynet.errors import (
     OriginInF,
     UnknownVertex,
 )
+from energynet.numkernel import PANEL
 
 from conftest import random_energy_vector, random_network, x_vertices
 
@@ -262,6 +263,53 @@ def test_gram_cross_check_fails_on_nan():
     assert en.energy._first_mismatch(net, K, V, values)[:3] == (1, 2, "kernel value")
     V[1, 2] = np.nan
     assert en.energy._first_mismatch(net, K, V, None)[:3] == (1, 2, "inner product")
+
+    # over three row panels: the comparison runs a panel at a time
+    P = PANEL
+    net = en.generate("integer_segment", 2 * P + 3)
+    gram, K = en.energy._gram_and_columns(net, net.x_vertices)
+    V = np.array(gram.V.a)
+    below = np.tril_indices(len(V), -1)
+    # the pairings' lower triangle is syrk's zeros: it, and V's and the kernel
+    # values' lower triangles, are never compared
+    values = V.copy()
+    values[below] = np.nan
+    V[below] += 1.0
+    assert en.energy._first_mismatch(net, K, V, values) is None
+    # two mismatches in adjacent panels: the row-major first, not the
+    # column-major one at (P, P + 1)
+    V[P - 1, 2 * P + 2] += 1.0
+    V[P, P + 1] += 1.0
+    assert en.energy._first_mismatch(net, K, V, None)[:3] == (P - 1, 2 * P + 2, "inner product")
+    values = np.array(gram.V.a)
+    values[P - 1, 2 * P + 2] = values[P, P + 1] = 0.0
+    assert en.energy._first_mismatch(net, K, gram.V.a, values)[:3] == (
+        P - 1, 2 * P + 2, "kernel value")
+    # a NaN in the last panel, on the diagonal
+    V = np.array(gram.V.a)
+    V[2 * P + 1, 2 * P + 1] = np.nan
+    assert en.energy._first_mismatch(net, K, V, None)[:3] == (2 * P + 1, 2 * P + 1, "inner product")
+
+
+@pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "other"])
+@pytest.mark.parametrize("k", [1, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3])
+def test_kernel_gram_is_syrk_upper_triangle_mirrored(k, prefix):
+    """_kernel writes Y^T Y into V's buffer and mirrors it by row panels: V
+    equals, bit for bit, syrk's upper triangle plus its transpose with syrk's
+    diagonal, for sizes around the panel height, on a prefix of X and off it."""
+    net = en.generate("integer_segment", 2 * PANEL + 10)
+    W = net.grounded_factor
+    if prefix:
+        idx = net.x_index[:k]
+        Y = scipy.linalg.lapack.dtrtri(np.array(W[:k, :k], order="F"))[0]
+    else:
+        idx = net.x_index[np.random.default_rng(k).permutation(len(W))[:k]]
+        assert not np.array_equal(idx, net.x_index[:k])
+        Y = en.energy._unit_solve(net, idx)
+    upper = scipy.linalg.blas.dsyrk(1.0, Y, trans=1)
+    expected = upper + upper.T
+    np.fill_diagonal(expected, np.diagonal(upper))
+    assert np.array_equal(en.energy._kernel(net, idx)[0], expected)
 
 
 @st.composite

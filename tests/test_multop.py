@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,37 @@ def test_trace_makes_no_solve_and_only_vector_products(monkeypatch, f):
     assert rho == pytest.approx(5.94858521 * (1 if f == "kernel" else np.sqrt(5)), rel=1e-8)
     assert {name for name, _ in calls} == {"dtrmv", "matmul"}
     assert all(len(shape) == 1 for _, shape in calls)
+
+
+_CEILING_F = {
+    "kernel:5": lambda net: Multiplier.from_kernel(net, 5),
+    "delta:100": lambda net: Multiplier.delta(net, 100),
+    "complex": lambda net: Multiplier(net, Multiplier.from_kernel(net, 5).f
+                                      * np.exp(0.5j * np.arange(net.n))),
+}
+
+
+@pytest.mark.parametrize("bound", [None, 1.0], ids=["estimate", "bound"])
+@pytest.mark.parametrize("f", sorted(_CEILING_F))
+def test_analyze_memory_ceiling(f, bound):
+    """Past the network's factor, analyze holds V and at most two more
+    (n - 1) x (n - 1) work arrays at once (the cross-check's D and pairings,
+    or S and the eigensolver's copy of it), each written in place: its traced
+    peak stays under 3.5 such arrays of doubles (4.39 when S and the
+    cross-check made whole-matrix temporaries).  A complex S and its copy
+    take two arrays each: a complex f peaks at 5.29 arrays and must stay
+    under 5.5, below one more real n x n temporary."""
+    net = en.generate("integer_segment", 400)
+    net.grounded_factor
+    m = _CEILING_F[f](net)
+    tracemalloc.start()
+    try:
+        analyze(m, bound=bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * (net.n - 1) ** 2)
+    assert arrays <= (5.5 if f == "complex" else 3.5), arrays
 
 
 def test_s_matrix_names_bad_b_or_overflow(p3):
