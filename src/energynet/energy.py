@@ -16,16 +16,19 @@ kernel columns K = W^{-T} Y, rows on X.  Over a prefix F of X (its first k
 vertices, as every exhaustion of the CLI is) Y is W[:k, :k]^{-1} over zeros.
 V_F holds its inverse's factor, V_F^{-1} = W_F W_F^T: W[:k, :k] over a
 prefix, else from V_F's Cholesky factor.  V_F is cross-checked by the
-reproducing identity: against the pairings <v_x, v_y>, one symmetric
-rank-|F| update over the edges, and off a prefix against K's rows at F too.
+reproducing identity: against the pairings <v_x, v_y>, symmetric updates of
+one |F| x |F| buffer over panels of edges, and off a prefix against K's
+rows at F too.  R(x) alone is V_xx, one forward solve (_kernel_diagonal).
 Nothing else is cached, no kernel vector per vertex.
-Memory: besides W, a Gram matrix over F = X holds V (which is K) and at most
-two more work arrays at once, each written in place: Y, or the cross-check's
-edge differences D (|E| x |F|) and pairings.  dsyrk writes V = Y^T Y into
-V's own buffer, its other triangle is mirrored a row panel at a time
-(numkernel.PANEL rows), and the cross-check builds D and compares the
+Memory: besides W, a Gram matrix over F = X holds V (which is K) and one
+more |F| x |F| work array at a time, written in place: Y, then the
+cross-check's pairings, on every network.  dsyrk writes V = Y^T Y into V's
+own buffer, and its other triangle is mirrored a row panel at a time
+(numkernel.PANEL rows).  The cross-check builds the edge differences D one
+panel of PANEL edges at a time and adds each panel's D^T D into the
+pairings (dsyrk, beta = 1), so no array grows with |E|, and it compares the
 pairings with V a row panel at a time, so no whole-matrix numpy expression
-makes a temporary.
+makes a temporary.  R(x) makes no n x n array.
 The Dirac Gram matrix over F is the Laplacian block on F
 (Network.laplacian_block), and a projection onto the Dirac span over F is
 one solve against it.
@@ -196,11 +199,12 @@ def energy_kernel(net, x):
 
 
 def effective_resistance(net, x):
-    """R(x) = v_x(x) = E(v_x): voltage drop for a unit current from x to o."""
+    """R(x) = v_x(x) = E(v_x): voltage drop for a unit current from x to o,
+    read as V_xx = ||W^{-1} e_x||^2 (_kernel_diagonal), one forward solve."""
     xi = net.index(x)
     if xi == net.origin_index:
         raise UnknownVertex("effective resistance to the origin itself is undefined")
-    return float(np.real(energy_kernel(net, x)[x]))
+    return float(_kernel_diagonal(net, [xi])[0])
 
 
 @dataclass(frozen=True)
@@ -258,18 +262,21 @@ def _first_mismatch(net, K, V, values):
     energy pairings <v_i, v_j> of the real kernel columns K ("inner
     product"), then for a = values unless None ("kernel value"); None if
     none does.  The pairings are D^T D, D the conductance-scaled edge
-    differences of K, from one rank-k update (BLAS syrk) filling the upper
-    triangle only.  D is built and a compared with V a row panel at a time."""
+    differences of K, summed over panels of PANEL edges by rank-PANEL updates
+    (BLAS syrk) of one k x k buffer, filling its upper triangle only; a is
+    compared with V a row panel at a time."""
     # edge ends on X; v(o) = 0 and D^T D ignores signs: an origin edge is its X end's row
     i, j, o = net.edge_i, net.edge_j, net.origin_index
     a, b = net.x_position(np.where(i == o, j, i)), net.x_position(np.where(j == o, i, j))
-    D = K[a]
-    for r in range(0, len(D), PANEL):
-        D[r : r + PANEL] -= K[b[r : r + PANEL]]
-    D[a == b] = K[a[a == b]]
-    D *= np.sqrt(net.edge_w)[:, None]
-    form = dsyrk(1.0, D.T)  # D.T is Fortran-ordered: no copy
-    del D
+    scale = np.sqrt(net.edge_w)
+    form = np.zeros((K.shape[1],) * 2, order="F")
+    for r in range(0, len(a), PANEL):
+        ap, bp = a[r : r + PANEL], b[r : r + PANEL]
+        D = K[ap]
+        D -= K[bp]
+        D[ap == bp] = K[ap[ap == bp]]
+        D *= scale[r : r + PANEL, None]
+        dsyrk(1.0, D.T, beta=1.0, c=form, overwrite_c=1)  # D.T is Fortran-ordered: no copy
     for what, a in (("inner product", form), ("kernel value", values)):
         if a is None:
             continue

@@ -15,7 +15,16 @@ from scipy.linalg.blas import dtrmv
 from .energy import _kernel_diagonal, effective_resistance, energy_kernel, gram_matrix, ground
 from .errors import InvalidInput, InvariantViolation, NetworkMismatch, UnknownVertex
 from .network import VertexFunction, total_conductance
-from .numkernel import SymMatrix, _by_parts, matmul, psd_check, stored, top_eigpair
+from .numkernel import (
+    SymMatrix,
+    _by_parts,
+    _psd_check_in_place,
+    _real_if_exact,
+    matmul,
+    psd_check,
+    stored,
+    top_eigpair,
+)
 
 
 class Multiplier(VertexFunction):
@@ -72,7 +81,8 @@ def _nested_levels(m, exhaustion):
     a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
     S = s_matrix(m, b, F_m) once and yields psd_check's verdict on each
     level's leading block, a view of S, failing ones with their witness in
-    F's order.  trace() returns (F, rho_F) per level, rho_F = sigma_max(T_k)
+    F's order; the outermost level, S itself, is solved last and in S's own
+    buffer.  trace() returns (F, rho_F) per level, rho_F = sigma_max(T_k)
     for T = W^{-1} D* W, where V^{-1} = W W^T is the Gram matrix's factor and
     D = diag(f): T is upper triangular and the pencil (P_F o V_F, V_F) on a
     leading k x k block is T_k^H T_k = W_k^T D_k V_k D_k* W_k.  T is never
@@ -87,9 +97,11 @@ def _nested_levels(m, exhaustion):
 
     def certify(b):
         S = _s(b, fv, V)
-        for F in exhaustion:
-            # a principal block of a Hermitian matrix is Hermitian: no re-check
-            v = psd_check(SymMatrix(S.a[: len(F), : len(F)], S.defect))
+        for level, F in enumerate(exhaustion, 1):
+            # a principal block of a Hermitian matrix is Hermitian; the last
+            # level is S, which no later level reads
+            check = _psd_check_in_place if level == len(exhaustion) else psd_check
+            v = check(SymMatrix(S[: len(F), : len(F)], 0.0))
             yield v if v.is_psd else replace(v, witness=stored(v.witness[[pos[x] for x in F]]))
 
     def sufficiency():
@@ -133,9 +145,10 @@ def _nested_levels(m, exhaustion):
 
 
 def _s(b, fv, V):
-    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv; f f* by parts, so
-    exactly Hermitian.  S is one buffer: the outer product, then b^2 minus it
-    and the product with V in place."""
+    """S = (b^2 - f(x) conj(f(y))) V_xy, in the order of fv, as a writable
+    array, real where its imaginary part is 0; f f* by parts, so exactly
+    Hermitian.  S is one buffer: the outer product, then b^2 minus it and the
+    product with V in place."""
     if not (b >= 0 and np.isfinite(b)):
         raise InvalidInput(f"b must be finite and nonnegative: {float(b)!r}")
     # S is float or complex before it is written in place: an integer f f* cannot hold b^2 - f f*
@@ -148,14 +161,14 @@ def _s(b, fv, V):
         raise InvalidInput(
             f"the certificate matrix (b^2 - f f*) V overflows at the finite b = {float(b)!r}"
         )
-    return SymMatrix(stored(S), 0.0)
+    return _real_if_exact(S)
 
 
 def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
     F = tuple(F)
-    return _s(b, np.array([m[x] for x in F]), gram_matrix(m.net, F).V.a)
+    return SymMatrix(stored(_s(b, np.array([m[x] for x in F]), gram_matrix(m.net, F).V.a)), 0.0)
 
 
 def certify_bound(m, b, exhaustion):

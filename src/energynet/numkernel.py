@@ -12,10 +12,17 @@ arguments are `SymMatrix` only: `SymMatrix.from_array` checks arrays from
 outside, and every matrix built inside the package is Hermitian by construction.
 
 Memory: the `mult` path holds the network's factor W, the Gram matrix V and
-at most two more n x n work arrays (the cross-check's edge differences and
-pairings, or S and the eigensolver's copy of it), each written in place.  No
-whole-matrix numpy expression makes a temporary: what needs one (a mirrored
-triangle, a comparison, a row norm) runs over row panels of PANEL rows.
+one more n x n work array at a time (the kernel's Y, the cross-check's
+pairings, or S), each written in place, on every network: the cross-check's
+edge differences are built one panel of PANEL edges at a time.  psd_check
+solves a copy and never writes its argument.  The outermost certificate,
+on S itself, runs LAPACK in S's own buffer (_psd_check_in_place, the same
+code); each inner level still copies its leading block, up to
+(2^j / (n - 1))^2 of an array for the largest inner level 2^j of the
+default exhaustion (0.41 at n = 801).  A complex S takes two arrays and is
+copied at every level.  No whole-matrix numpy expression makes a temporary:
+what needs one (a mirrored triangle, a comparison, a row norm) runs over row
+panels of PANEL rows.
 
 One BLAS: every dense matrix product (`matmul`, `gemv` in `top_eigpair`) and
 eigensolver here runs through `scipy.linalg`, its BLAS and LAPACK.  numpy and
@@ -43,12 +50,17 @@ PANEL = 64  # rows per panel: a panel's temporaries hold PANEL x n entries
 
 
 def stored(a):
-    """A freshly made array a as the package keeps it: a contiguous float64
-    copy if a is complex with zero imaginary part, and read-only."""
-    if np.iscomplexobj(a) and not np.any(a.imag):
-        a = a.real.copy()
+    """A freshly made array a as the package keeps it: _real_if_exact(a),
+    read-only."""
+    a = _real_if_exact(a)
     a.setflags(write=False)
     return a
+
+
+def _real_if_exact(a):
+    """a, or a contiguous float64 copy of it if a is complex with zero
+    imaginary part."""
+    return a.real.copy() if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
 @dataclass(frozen=True)
@@ -169,13 +181,28 @@ def psd_check(A):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol, with
     tol = default_psd_tol(A).
 
-    lambda_min and its eigenvector come from one subset eigensolve.  Only a
-    failing verdict carries that eigenvector, as its witness: unit length,
-    sign fixed by its first nonzero component.  A passing one keeps none.
+    lambda_min and its eigenvector come from one subset eigensolve, on a
+    copy: A is never written.  Only a failing verdict carries that
+    eigenvector, as its witness: unit length, sign fixed by its first
+    nonzero component.  A passing one keeps none.
     """
+    return _psd_check(A, A.a, False)
+
+
+def _psd_check_in_place(A):
+    """psd_check(A) for an A whose writable buffer the caller gives up.  A
+    real A.a is LAPACK's workspace, with no copy: through its Fortran-ordered
+    transpose, which is A.a itself, A being exactly symmetric.  A complex
+    A.a, whose transpose is its conjugate, is copied as psd_check copies it."""
+    real = not np.iscomplexobj(A.a)
+    return _psd_check(A, A.a.T if real else A.a, real)
+
+
+def _psd_check(A, a, overwrite):
+    # the tolerance reads A before the eigensolve may overwrite it
     tol = float(default_psd_tol(A))
     try:
-        w, q = scipy.linalg.eigh(A.a, subset_by_index=[0, 0])
+        w, q = scipy.linalg.eigh(a, subset_by_index=[0, 0], overwrite_a=overwrite)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
     ok = bool(w[0] >= -tol)

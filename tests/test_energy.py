@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_effective_resistance(p3):
         assert en.effective_resistance(seg, k) == pytest.approx(k)
     with pytest.raises(UnknownVertex, match="to the origin itself is undefined"):
         en.effective_resistance(seg, 0)
+
+
+def test_effective_resistance_is_one_forward_solve():
+    """R(x) = ||W^{-1} e_x||^2 makes no (n - 1)^2 array, not even at X's
+    first vertex, where a kernel vector's block solve copies W[1:, 1:]."""
+    net = en.generate("integer_segment", 1000)
+    net.grounded_factor
+    x = net.x_vertices[0]
+    tracemalloc.start()
+    try:
+        R = en.effective_resistance(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R == pytest.approx(1.0, rel=1e-12)
+    assert peak < 2**20, peak
 
 
 def test_effective_resistance_consistency(test_net):

@@ -445,27 +445,45 @@ _CEILING_F = {
 }
 
 
-@pytest.mark.parametrize("bound", [None, 1.0], ids=["estimate", "bound"])
-@pytest.mark.parametrize("f", sorted(_CEILING_F))
-def test_analyze_memory_ceiling(f, bound):
-    """Past the network's factor, analyze holds V and at most two more
-    (n - 1) x (n - 1) work arrays at once (the cross-check's D and pairings,
-    or S and the eigensolver's copy of it), each written in place: its traced
-    peak stays under 3.5 such arrays of doubles (4.39 when S and the
-    cross-check made whole-matrix temporaries).  A complex S and its copy
-    take two arrays each: a complex f peaks at 5.29 arrays and must stay
-    under 5.5, below one more real n x n temporary."""
-    net = en.generate("integer_segment", 400)
-    net.grounded_factor
-    m = _CEILING_F[f](net)
+def _analyze_peak(m, bound):
+    """analyze(m, bound)'s traced peak in (n - 1) x (n - 1) arrays of doubles,
+    the network's factor built first."""
+    m.net.grounded_factor
     tracemalloc.start()
     try:
         analyze(m, bound=bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = peak / (8 * (net.n - 1) ** 2)
-    assert arrays <= (5.5 if f == "complex" else 3.5), arrays
+    return peak / (8 * (m.net.n - 1) ** 2)
+
+
+@pytest.mark.parametrize("bound", [None, 1.0], ids=["estimate", "bound"])
+@pytest.mark.parametrize("f", sorted(_CEILING_F))
+def test_analyze_memory_ceiling(f, bound):
+    """Past the network's factor, analyze holds at most V, one n x n work
+    array and the copy of one inner level's block: the kernel's Y, the
+    cross-check's pairings (its edge differences are one panel of edges), or
+    S and the eigensolver's copy of an inner level, up to (2^j / (n - 1))^2
+    of an array (0.41 at n = 401); the outermost level is solved in S's own
+    buffer.  A real f peaks at 2.61 arrays and must stay under 2.75 (3.16
+    with the edge differences whole and S copied at the outer level).  A
+    complex S and its copy take two arrays each: a complex f peaks at 5.29
+    arrays and must stay under 5.5, below one more real n x n temporary."""
+    arrays = _analyze_peak(_CEILING_F[f](en.generate("integer_segment", 400)), bound)
+    assert arrays <= (5.5 if f == "complex" else 2.75), arrays
+
+
+@pytest.mark.parametrize("extra_edges", [400, 800, 1203, 1603])
+def test_analyze_memory_ceiling_many_edges(extra_edges):
+    """The ceiling does not grow with |E|: the cross-check builds its edge
+    differences one panel of edges at a time.  On 401 vertices with
+    |E| = 400 + extra_edges, 800 to 2003, the peak reads 2.59-2.70 arrays
+    (4.02-7.04 with the |E| x |F| differences whole)."""
+    net = random_network(401, 3, extra_edges=extra_edges)
+    assert len(net.edge_w) == 400 + extra_edges
+    arrays = _analyze_peak(Multiplier.from_kernel(net, 5), None)
+    assert arrays <= 2.75, arrays
 
 
 def test_s_matrix_names_bad_b_or_overflow(p3):

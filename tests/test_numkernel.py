@@ -168,6 +168,29 @@ def test_psd_check_cases():
     assert not neg.is_psd and neg.min_eigenvalue == pytest.approx(-1.0)
 
 
+def test_psd_check_never_writes_its_argument():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 40))
+    for a in (g + g.T, np.asfortranarray(g + g.T), g + g.T - 20 * np.eye(40)):
+        before = a.copy()
+        assert a.flags.writeable
+        en.psd_check(SymMatrix(a, 0.0))
+        assert np.array_equal(a, before)
+
+
+def test_psd_check_in_place_is_psd_check():
+    """The in-place entry gives psd_check's verdict bit for bit: in S's own
+    buffer when S is real, on a copy when it is complex."""
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    for a in (g.real + g.real.T, g.real @ g.real.T, g + g.conj().T):
+        want = en.psd_check(SymMatrix(a, 0.0))
+        got = numkernel._psd_check_in_place(SymMatrix(a.copy(), 0.0))
+        assert (got.is_psd, got.min_eigenvalue, got.tol) == (
+            want.is_psd, want.min_eigenvalue, want.tol)
+        assert want.is_psd or np.array_equal(got.witness, want.witness)
+
+
 def test_psd_witness_reproduces_verdict():
     v = en.psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
     quad = v.witness @ np.array([[0.96, 1.96], [1.96, 3.92]]) @ v.witness
