@@ -1,14 +1,17 @@
 """Compare the benchmark of a base revision with the working tree, in pairs.
 
-Extracts REV with `git archive` into a temporary directory and runs
-`perfbench/run.py --workload W --seed i --seconds S` there and in the
-working tree, for i = 1 ... N.  Odd pairs run the base first, even pairs
-the working tree first, so that drift of the machine falls on both sides
-alike.  It prints each pair's end-to-end metrics (the `end_to_end` list of
-BENCHMARK.json), then per metric each side's median and quartiles, the
-pairs the change wins (strictly better, in the metric's direction),
-whether the medians differ by more than the base's interquartile range, and
-the no-regression verdict from the metric's `bound` (see `summary`).
+Extracts REV with `git archive` into a temporary directory, copies the
+working tree's files that git lists (tracked, or untracked and not ignored)
+that exist into a sibling directory, and runs `perfbench/run.py --workload W
+--seed i --seconds S` in both, for i = 1 ... N: both sides start from fresh
+copies, with no bytecode caches or build outputs of earlier runs.  Odd
+pairs run the base first, even pairs the working tree first, so that drift
+of the machine falls on both sides alike.  It prints each pair's
+end-to-end metrics (the `end_to_end` list of BENCHMARK.json), then per
+metric each side's median and quartiles, the pairs the change wins
+(strictly better, in the metric's direction), whether the medians differ by
+more than the base's interquartile range, and the no-regression verdict
+from the metric's `bound` (see `summary`).
 `--workload` may be given more than once.  With `--out PATH` the pairs,
 the summary rows and the machine record of perfbench/run.py go to PATH as
 JSON, one entry per workload.  The temporary directory is removed
@@ -95,12 +98,22 @@ def git(*argv):
                           text=True).stdout.strip()
 
 
-def compare(base_tree, workload, pairs, seconds, names):
+def copy_working_tree(dest):
+    """Copy the files of the working tree that git lists, tracked or
+    untracked and not ignored, and that exist, into dest."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src = ROOT / name
+        if name and (src.is_file() or src.is_symlink()):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
+
+
+def compare(base_tree, change_tree, workload, pairs, seconds, names):
     """Run the pairs of one workload; returns (pairs, failed ops per side,
     the working tree's machine record)."""
     got_pairs, failed, machine = [], [0, 0], None
     for i in range(1, pairs + 1):
-        sides = [(0, base_tree), (1, ROOT)]
+        sides = [(0, base_tree), (1, change_tree)]
         got = {}
         for side, tree in sides if i % 2 else sides[::-1]:
             got[side], f, facts = run_bench(tree, workload, i, seconds)
@@ -130,14 +143,16 @@ def main(argv=None):
            "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    base_tree = tmp / "base"
+    base_tree, change_tree = tmp / "base", tmp / "change"
     base_tree.mkdir()
     try:
         archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+        copy_working_tree(change_tree)
         for workload in args.workload:
-            pairs, failed, machine = compare(base_tree, workload, args.pairs, args.seconds, names)
+            pairs, failed, machine = compare(base_tree, change_tree, workload, args.pairs,
+                                             args.seconds, names)
             rows = summary(pairs, metrics)
             doc["workloads"][workload] = {
                 "failed": {"base": failed[0], "change": failed[1]},

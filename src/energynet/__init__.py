@@ -49,14 +49,7 @@ from .network import (
     save_network,
     total_conductance,
 )
-from .numkernel import (
-    PsdVerdict,
-    SymMatrix,
-    psd_check,
-    spd_solve,
-    sqrtm_psd,
-    sym_eig,
-)
+from .numkernel import PsdVerdict
 from .randwalk import WalkEstimate, escape_prob_exact, escape_prob_mc, transition_prob
 
 __version__ = "0.1.0"

@@ -171,12 +171,12 @@ def cmd_gram(args):
     net = _build_net(args)
     F = [_parse_vertex(t) for t in args.F.split(",")]
     gm = energy.gram_matrix(net, F)
-    doc = {"command": "gram", "F": [str(v) for v in gm.F], "V": gm.V.a.tolist()}
+    doc = {"command": "gram", "F": [str(v) for v in gm.F], "V": gm.V.tolist()}
     rows = [["x", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["V"])]
     if args.sqrt:
-        root = gm.sqrt().a
+        root = gm.sqrt()
         doc["sqrt"] = root.tolist()
-        doc["sqrt_residual"] = float(np.abs(matmul(root, root) - gm.V.a).max())
+        doc["sqrt_residual"] = float(np.abs(matmul(root, root) - gm.V).max())
         rows += [["sqrt", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["sqrt"])]
     _emit(doc, args.format, csv_rows=rows)
     return 0

@@ -51,7 +51,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply, require_values
-from .numkernel import PANEL, SymMatrix, cholesky, matmul, spd_solve, sqrtm_psd, stored
+from .numkernel import PANEL, cholesky, matmul, spd_solve, sqrtm_psd, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +212,11 @@ class GramMatrix:
     """V_F with V_xy = <v_x, v_y>, over an ordered vertex subset F of X, and
     the upper triangular W with V^{-1} = W W^T: over a prefix of X the
     leading block of the network's factor (that array itself over all of X),
-    else the inverse of V's Cholesky factor.  V is symmetric by construction."""
+    else the inverse of V's Cholesky factor.  Both are read-only arrays, and V
+    is exactly symmetric by construction, as is sqrt()'s root."""
 
     F: tuple
-    V: SymMatrix
+    V: np.ndarray
     W: np.ndarray
 
     def sqrt(self):
@@ -241,7 +242,6 @@ def _gram_and_columns(net, F):
             f"Gram entry ({F[i]!r},{F[j]!r}): {what} {float(value)!r} "
             f"disagrees with the Gram value {float(V[i, j])!r}"
         )
-    V = SymMatrix(V, 0.0)
     if W is None:
         # factored here, so positive definiteness is an invariant of the type
         W, _ = dtrtri(cholesky(V))  # info 0: the factor's diagonal is positive

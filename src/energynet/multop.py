@@ -16,7 +16,6 @@ from .energy import _kernel_diagonal, effective_resistance, energy_kernel, gram_
 from .errors import InvalidInput, InvariantViolation, NetworkMismatch, UnknownVertex
 from .network import VertexFunction, total_conductance
 from .numkernel import (
-    SymMatrix,
     _by_parts,
     _psd_check_in_place,
     _real_if_exact,
@@ -91,7 +90,7 @@ def _nested_levels(m, exhaustion):
     sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
-    V, W = gram.V.a, gram.W
+    V, W = gram.V, gram.W
     fv = np.array([m[x] for x in order])
     pos = {x: i for i, x in enumerate(order)}
 
@@ -101,7 +100,7 @@ def _nested_levels(m, exhaustion):
             # a principal block of a Hermitian matrix is Hermitian; the last
             # level is S, which no later level reads
             check = _psd_check_in_place if level == len(exhaustion) else psd_check
-            v = check(SymMatrix(S[: len(F), : len(F)], 0.0))
+            v = check(S[: len(F), : len(F)])
             yield v if v.is_psd else replace(v, witness=stored(v.witness[[pos[x] for x in F]]))
 
     def sufficiency():
@@ -168,7 +167,7 @@ def s_matrix(m, b, F):
     """Entries (b^2 - f(x) conj(f(y))) <v_x, v_y>; psd over every finite F
     iff ||M_f|| <= b.  Equals b^2 V_F - D_F V_F D_F* with D_F = diag(f|F)."""
     F = tuple(F)
-    return SymMatrix(stored(_s(b, np.array([m[x] for x in F]), gram_matrix(m.net, F).V.a)), 0.0)
+    return stored(_s(b, np.array([m[x] for x in F]), gram_matrix(m.net, F).V))
 
 
 def certify_bound(m, b, exhaustion):

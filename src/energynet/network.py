@@ -33,7 +33,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-from .numkernel import SymMatrix, cholesky, stored
+from .numkernel import cholesky, stored
 
 
 class Network:
@@ -92,8 +92,9 @@ class Network:
 
     def laplacian_block(self, idx):
         """The principal block of laplacian_matrix() on the dense indices idx,
-        read-only; both triangles come from the same weights, so its defect is 0."""
-        return SymMatrix(stored(self.laplacian_matrix()[np.ix_(idx, idx)]), 0.0)
+        read-only; both triangles come from the same weights, so it is exactly
+        symmetric."""
+        return stored(self.laplacian_matrix()[np.ix_(idx, idx)])
 
     @cached_property
     def grounded_factor(self):

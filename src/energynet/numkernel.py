@@ -8,8 +8,9 @@ and a complex vector meets every matrix by parts (`_by_parts`: two calls, no
 complex copy of a real matrix).  Only `sym_eig` computes a full eigenbasis:
 `top_eigpair` runs a Krylov iteration on a matrix-vector product and
 `psd_check` a subset eigensolve for the smallest eigenpair.  Matrix
-arguments are `SymMatrix` only: `SymMatrix.from_array` checks arrays from
-outside, and every matrix built inside the package is Hermitian by construction.
+arguments are plain arrays that the package builds itself, each Hermitian
+by construction; no public name of the package takes a matrix from outside,
+so nothing here checks one.
 
 Memory: the `mult` path holds the network's factor W, the Gram matrix V and
 one more n x n work array at a time (the kernel's Y, the cross-check's
@@ -43,9 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite, NotPsd
+from .errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
 
-HERMITIAN_TOL = 1e-12
 PANEL = 64  # rows per panel: a panel's temporaries hold PANEL x n entries
 
 
@@ -61,31 +61,6 @@ def _real_if_exact(a):
     """a, or a contiguous float64 copy of it if a is complex with zero
     imaginary part."""
     return a.real.copy() if np.iscomplexobj(a) and not np.any(a.imag) else a
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Hermitian matrix plus the symmetrization defect recorded on entry."""
-
-    a: np.ndarray
-    defect: float
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidInput("matrix has non-finite entries")
-        scale = max(1.0, np.abs(arr).max()) if arr.size else 1.0
-        defect = float(np.abs(arr - arr.conj().T).max() / scale)
-        if defect > HERMITIAN_TOL:
-            raise InvalidInput(f"matrix is not Hermitian (relative defect {defect:.3e})")
-        return cls(stored(arr / 2 + arr.conj().T / 2), defect)  # halves first: cannot overflow
 
 
 @dataclass(frozen=True)
@@ -106,7 +81,7 @@ def cholesky(A):
     """Upper-triangular U with A = U^H U, zeros below its diagonal: the one
     Cholesky factorization of the package; read-only."""
     try:
-        return stored(scipy.linalg.cholesky(A.a))
+        return stored(scipy.linalg.cholesky(A))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
@@ -155,7 +130,7 @@ def spd_solve(A, b):
     b = np.asarray(b)
     U = cholesky(A)
     x = cho_solve(U, b)
-    resid = b - matmul(A.a, x)
+    resid = b - matmul(A, x)
     if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(b), 1e-300):
         x = x + cho_solve(U, resid)
     return x
@@ -164,7 +139,7 @@ def spd_solve(A, b):
 def sym_eig(A):
     """Eigendecomposition A = Q diag(w) Q*, eigenvalues ascending."""
     try:
-        w, q = scipy.linalg.eigh(A.a, driver="evd")
+        w, q = scipy.linalg.eigh(A, driver="evd")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
     return w, q
@@ -172,7 +147,7 @@ def sym_eig(A):
 
 def default_psd_tol(A):
     """1e-9 max(1, ||A||_inf), the row sums of |A| taken a row panel at a time."""
-    norm_inf = max((np.abs(A.a[r : r + PANEL]).sum(axis=1).max() for r in range(0, A.n, PANEL)),
+    norm_inf = max((np.abs(A[r : r + PANEL]).sum(axis=1).max() for r in range(0, len(A), PANEL)),
                    default=0.0)
     return 1e-9 * max(1.0, norm_inf)
 
@@ -186,16 +161,16 @@ def psd_check(A):
     eigenvector, as its witness: unit length, sign fixed by its first
     nonzero component.  A passing one keeps none.
     """
-    return _psd_check(A, A.a, False)
+    return _psd_check(A, A, False)
 
 
 def _psd_check_in_place(A):
     """psd_check(A) for an A whose writable buffer the caller gives up.  A
-    real A.a is LAPACK's workspace, with no copy: through its Fortran-ordered
-    transpose, which is A.a itself, A being exactly symmetric.  A complex
-    A.a, whose transpose is its conjugate, is copied as psd_check copies it."""
-    real = not np.iscomplexobj(A.a)
-    return _psd_check(A, A.a.T if real else A.a, real)
+    real A is LAPACK's workspace, with no copy: through its Fortran-ordered
+    transpose, which is A itself, A being exactly symmetric.  A complex A,
+    whose transpose is its conjugate, is copied as psd_check copies it."""
+    real = not np.iscomplexobj(A)
+    return _psd_check(A, A.T if real else A, real)
 
 
 def _psd_check(A, a, overwrite):
@@ -263,4 +238,4 @@ def sqrtm_psd(A):
     if not w[0] >= -tol:
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = matmul(q * np.sqrt(np.clip(w, 0.0, None)), q.conj().T)
-    return SymMatrix(stored(root / 2 + root.conj().T / 2), 0.0)  # halves first: cannot overflow
+    return stored(root / 2 + root.conj().T / 2)  # halves first: cannot overflow

@@ -22,7 +22,7 @@ from energynet.multop import (
     restricted_norm,
     s_matrix,
 )
-from energynet.numkernel import sqrtm_psd, SymMatrix
+from energynet.numkernel import psd_check, sqrtm_psd
 from energynet.randwalk import escape_prob_exact, escape_prob_mc
 
 from conftest import random_energy_vector, random_network, x_vertices
@@ -45,7 +45,7 @@ def test_01_segment_gram_golden():
     t0 = time.perf_counter()
     seg = en.generate("integer_segment", 12)
     F = list(range(1, 9))
-    V = en.gram_matrix(seg, F).V.a
+    V = en.gram_matrix(seg, F).V
     expected = np.minimum.outer(F, F).astype(float)
     err = float(np.abs(V - expected).max())
     assert _report("criterion 1 (segment Gram = min(i,j))", err <= 1e-9, f"max err {err:.2e}", t0)
@@ -65,10 +65,10 @@ def test_02_point_mass_dichotomy():
             hi = target + 1e-6
             assert all(v.is_psd for v in certify_bound(m, hi, [tuple(xs)]))
             lo = target * (1 - 1e-3)
-            verdict = en.psd_check(s_matrix(m, lo, xs))
+            verdict = psd_check(s_matrix(m, lo, xs))
             assert not verdict.is_psd
             xi = verdict.witness
-            assert np.real(np.conj(xi) @ s_matrix(m, lo, xs).a @ xi) < 0
+            assert np.real(np.conj(xi) @ s_matrix(m, lo, xs) @ xi) < 0
     assert _report(
         "criterion 2 (point-mass norm dichotomy)", True, f"max |rho - sqrt(cR)| {worst_gap:.2e}", t0
     )
@@ -176,11 +176,11 @@ def test_07_reproducing_and_pairing():
 
 def test_08_sqrt_cross_check():
     t0 = time.perf_counter()
-    V = SymMatrix.from_array(np.array([[1.0, 1, 1], [1, 2, 2], [1, 2, 3]]))
+    V = np.array([[1.0, 1, 1], [1, 2, 2], [1, 2, 3]])
     root = sqrtm_psd(V)
-    resid = float(np.abs(root.a @ root.a - V.a).max())
+    resid = float(np.abs(root @ root - V).max())
     assert resid <= 1e-8
-    assert en.psd_check(root).is_psd
+    assert psd_check(root).is_psd
     assert _report("criterion 8 (3x3 Gram square root)", True, f"B@B residual {resid:.2e}", t0)
 
 

@@ -130,15 +130,15 @@ def test_effective_resistance_consistency(test_net):
 
 def test_gram_matrix_hand_values(p3):
     gm = en.gram_matrix(p3, [1, 2])
-    assert np.allclose(gm.V.a, [[1, 1], [1, 2]])
+    assert np.allclose(gm.V, [[1, 1], [1, 2]])
     single = en.gram_matrix(p3, [2])
-    assert single.V.a[0, 0] == pytest.approx(en.effective_resistance(p3, 2))
+    assert single.V[0, 0] == pytest.approx(en.effective_resistance(p3, 2))
 
 
 def test_gram_matrix_segment_min():
     seg = en.generate("integer_segment", 8)
     gm = en.gram_matrix(seg, [1, 2, 3])
-    assert np.allclose(gm.V.a, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-9)
+    assert np.allclose(gm.V, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-9)
 
 
 def test_gram_factor_is_upper_and_inverts_V(test_net):
@@ -146,7 +146,7 @@ def test_gram_factor_is_upper_and_inverts_V(test_net):
     the network's factor itself, not a copy."""
     gm = en.gram_matrix(test_net, x_vertices(test_net))
     assert np.all(np.tril(gm.W, -1) == 0.0)
-    assert np.abs(gm.W.T @ gm.V.a @ gm.W - np.eye(len(gm.F))).max() <= 1e-12
+    assert np.abs(gm.W.T @ gm.V @ gm.W - np.eye(len(gm.F))).max() <= 1e-12
     assert np.shares_memory(gm.W, test_net.grounded_factor)
 
 
@@ -169,7 +169,7 @@ def test_gram_reproducing_consistency(test_net):
     for i, x in enumerate(gm.F):
         vx = en.energy_kernel(test_net, x)
         for j, y in enumerate(gm.F):
-            assert abs(gm.V.a[i, j] - vx[y]) <= 1e-9
+            assert abs(gm.V[i, j] - vx[y]) <= 1e-9
 
 
 def _perturbed_back_substitution(monkeypatch, by, which="T"):
@@ -254,8 +254,8 @@ def test_gram_over_x_is_the_kernel_columns(origin):
     the kernel block itself, wherever the origin sits: no second n x n array."""
     net = en.build_network([(k, k + 1, 1.0) for k in range(200)], origin=origin)
     gram, K = en.energy._gram_and_columns(net, net.x_vertices)
-    assert K.shape == (200, 200) and np.shares_memory(K, gram.V.a)
-    assert np.array_equal(K, gram.V.a)
+    assert K.shape == (200, 200) and np.shares_memory(K, gram.V)
+    assert np.array_equal(K, gram.V)
 
 
 @pytest.mark.parametrize("origin", [0, 100, 200])
@@ -264,15 +264,15 @@ def test_short_prefix_gram_holds_no_kernel_columns(origin):
     its own: a kept Gram matrix does not hold the (n-1) x k columns."""
     net = en.build_network([(k, k + 1, 1.0) for k in range(200)], origin=origin)
     gram, K = en.energy._gram_and_columns(net, net.x_vertices[:50])
-    assert K.shape == (200, 50) and gram.V.a.base is None
-    assert np.array_equal(K[:50], gram.V.a)
+    assert K.shape == (200, 50) and gram.V.base is None
+    assert np.array_equal(K[:50], gram.V)
 
 
 def test_gram_cross_check_fails_on_nan():
     # a NaN pairing is a mismatch, not a pass: NaN > tol is False
     net = en.generate("path", 4)
     gram, K = en.energy._gram_and_columns(net, net.x_vertices)
-    V = np.array(gram.V.a)
+    V = np.array(gram.V)
     assert en.energy._first_mismatch(net, K, V, None) is None
     assert en.energy._first_mismatch(net, K, V, V.copy()) is None
     values = V.copy()
@@ -285,7 +285,7 @@ def test_gram_cross_check_fails_on_nan():
     P = PANEL
     net = en.generate("integer_segment", 2 * P + 3)
     gram, K = en.energy._gram_and_columns(net, net.x_vertices)
-    V = np.array(gram.V.a)
+    V = np.array(gram.V)
     below = np.tril_indices(len(V), -1)
     # the pairings' lower triangle is syrk's zeros: it, and V's and the kernel
     # values' lower triangles, are never compared
@@ -298,12 +298,12 @@ def test_gram_cross_check_fails_on_nan():
     V[P - 1, 2 * P + 2] += 1.0
     V[P, P + 1] += 1.0
     assert en.energy._first_mismatch(net, K, V, None)[:3] == (P - 1, 2 * P + 2, "inner product")
-    values = np.array(gram.V.a)
+    values = np.array(gram.V)
     values[P - 1, 2 * P + 2] = values[P, P + 1] = 0.0
-    assert en.energy._first_mismatch(net, K, gram.V.a, values)[:3] == (
+    assert en.energy._first_mismatch(net, K, gram.V, values)[:3] == (
         P - 1, 2 * P + 2, "kernel value")
     # a NaN in the last panel, on the diagonal
-    V = np.array(gram.V.a)
+    V = np.array(gram.V)
     V[2 * P + 1, 2 * P + 1] = np.nan
     assert en.energy._first_mismatch(net, K, V, None)[:3] == (2 * P + 1, 2 * P + 1, "inner product")
 
@@ -356,7 +356,7 @@ def test_prefix_gram_equals_the_general_path(net, data):
     (defect 0) and the block on F of the Gram matrix over X, and W is upper
     triangular with W^T V W = I."""
     X = net.x_vertices
-    full = en.gram_matrix(net, X).V.a
+    full = en.gram_matrix(net, X).V
     k = data.draw(st.integers(1, len(X)))
     perm = data.draw(st.permutations(range(k)))
     if k > 1 and perm == sorted(perm):
@@ -365,8 +365,8 @@ def test_prefix_gram_equals_the_general_path(net, data):
     assert np.array_equal(en.gram_matrix(net, X[:k]).W, net.grounded_factor[:k, :k])
     for pos in (list(range(k)), perm, subset):
         gram = en.gram_matrix(net, [X[p] for p in pos])
-        V, W = gram.V.a, gram.W
-        assert np.array_equal(V, V.T) and gram.V.defect == 0.0
+        V, W = gram.V, gram.W
+        assert np.array_equal(V, V.T)
         assert np.abs(V - full[np.ix_(pos, pos)]).max() <= 1e-12 * np.abs(V).max()
         assert np.array_equal(W, np.triu(W))
         assert np.abs(W.T @ V @ W - np.eye(len(pos))).max() <= 1e-12
@@ -381,9 +381,9 @@ def test_gram_subset_and_sufficiency_match_full(n, seed, data):
     net = random_network(n, seed=seed)
     xs = x_vertices(net)
     F = data.draw(st.permutations(xs))[: data.draw(st.integers(1, len(xs)))]
-    full = en.gram_matrix(net, xs).V.a
+    full = en.gram_matrix(net, xs).V
     pos = [xs.index(x) for x in F]
-    np.testing.assert_allclose(en.gram_matrix(net, F).V.a, full[np.ix_(pos, pos)],
+    np.testing.assert_allclose(en.gram_matrix(net, F).V, full[np.ix_(pos, pos)],
                                rtol=0, atol=1e-12)
 
     f = np.random.default_rng(seed).normal(size=net.n)
@@ -395,10 +395,10 @@ def test_gram_subset_and_sufficiency_match_full(n, seed, data):
 
 def test_delta_gram(p3):
     dg = en.delta_gram(p3, [1, 2])
-    assert np.allclose(dg.a, [[2, -1], [-1, 1]])
-    assert en.delta_gram(p3, [2]).a[0, 0] == pytest.approx(1.0)
+    assert np.allclose(dg, [[2, -1], [-1, 1]])
+    assert en.delta_gram(p3, [2])[0, 0] == pytest.approx(1.0)
     seg = en.generate("integer_segment", 4)
-    assert en.delta_gram(seg, [1, 3]).a[0, 1] == 0.0  # non-adjacent pair
+    assert en.delta_gram(seg, [1, 3])[0, 1] == 0.0  # non-adjacent pair
 
 
 @settings(max_examples=30, deadline=None)

@@ -85,15 +85,15 @@ def test_hermitian_defect(p3):
 def test_s_matrix_hand_values(p3):
     m = Multiplier.delta(p3, 1)
     S = s_matrix(m, np.sqrt(2.0), [1, 2])
-    assert np.allclose(S.a, [[1, 2], [2, 4]])
-    assert en.psd_check(S).is_psd
+    assert np.allclose(S, [[1, 2], [2, 4]])
+    assert numkernel.psd_check(S).is_psd
     S_low = s_matrix(m, 1.4, [1, 2])
-    assert np.allclose(S_low.a, [[0.96, 1.96], [1.96, 3.92]])
-    verdict = en.psd_check(S_low)
+    assert np.allclose(S_low, [[0.96, 1.96], [1.96, 3.92]])
+    verdict = numkernel.psd_check(S_low)
     assert not verdict.is_psd
     # the witness vector certifies the failure
     xi = verdict.witness
-    assert np.real(np.conj(xi) @ S_low.a @ xi) < 0
+    assert np.real(np.conj(xi) @ S_low @ xi) < 0
 
 
 def test_s_matrix_rejects_bad_input(p3):
@@ -196,11 +196,11 @@ def test_nested_levels_match_per_level(seed):
     b = rep.psd_certificates[0][0]
     for (F, rho), (_, v) in zip(rep.lower_bounds, rep.psd_certificates):
         assert close(rho, restricted_norm(m, F))
-        one = en.psd_check(s_matrix(m, b, F))
+        one = numkernel.psd_check(s_matrix(m, b, F))
         assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
     b = rep.best_lower * rng.uniform(0.5, 1.5)
     for F, v in zip(exhaustion, certify_bound(m, b, exhaustion)):
-        one = en.psd_check(s_matrix(m, b, F))
+        one = numkernel.psd_check(s_matrix(m, b, F))
         assert v.is_psd == one.is_psd and close(v.min_eigenvalue, one.min_eigenvalue)
 
 
@@ -217,22 +217,18 @@ def test_s_matrix_is_exactly_hermitian(n, seed, data):
     k = data.draw(st.integers(1, len(X)))
     for F in (X[:k], data.draw(st.permutations(X))[:k]):
         S = s_matrix(m, rng.uniform(0.0, 3.0), F)
-        assert S.defect == 0.0 and np.array_equal(S.a, S.a.conj().T)
+        assert np.array_equal(S, S.conj().T)
 
 
 def test_one_s_matrix_per_bound(monkeypatch):
     """S is formed once per bound over the outer set, however many levels the
-    exhaustion has, and no Hermitian check runs: S is Hermitian by
-    construction, and so is the Gram matrix over a prefix of X."""
+    exhaustion has."""
     net = en.generate("integer_segment", 12)
     m = Multiplier.from_kernel(net, 3)
     xs = x_vertices(net)
-    calls, hermitian_checks = [], []
+    calls = []
     s = multop._s
     monkeypatch.setattr(multop, "_s", lambda *a: calls.append(1) or s(*a))
-    from_array = en.SymMatrix.from_array.__func__
-    counted = classmethod(lambda *a, **k: hermitian_checks.append(1) or from_array(*a, **k))
-    monkeypatch.setattr(en.SymMatrix, "from_array", counted)
     rho = restricted_norm(m, xs)
     counts = {}
     for levels in (2, 6):
@@ -249,7 +245,6 @@ def test_one_s_matrix_per_bound(monkeypatch):
             counts[levels].append(len(calls))
     assert counts[2] == counts[6]
     assert counts[2][:3] == [1, 1, 1]
-    assert hermitian_checks == []
 
 
 def test_witnesses_from_one_subset_eigensolve(monkeypatch):
@@ -280,7 +275,7 @@ def test_witnesses_from_one_subset_eigensolve(monkeypatch):
         assert (v.witness is None) == v.is_psd and (w.witness is None) == w.is_psd
         if not v.is_psd:
             assert np.array_equal(w.witness, v.witness)
-            assert np.real(np.conj(v.witness) @ s_matrix(m, b, F).a @ v.witness) < 0
+            assert np.real(np.conj(v.witness) @ s_matrix(m, b, F) @ v.witness) < 0
     solves.clear()
     probes.clear()
     bisect_bound(m, exhaustion, tol=1e-3)
@@ -301,7 +296,7 @@ def test_failing_witness_in_level_order(seed):
     for F, v in zip(exhaustion, verdicts):
         if not v.is_psd:
             xi = v.witness
-            assert np.real(np.conj(xi) @ s_matrix(m, b, F).a @ xi) < 0
+            assert np.real(np.conj(xi) @ s_matrix(m, b, F) @ xi) < 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +329,7 @@ def test_prefix_certificates_equal_one_set(family, size, x):
     rho = restricted_norm(m, exhaustion[-1])
     for b in (0.7 * rho, 1.1 * rho):
         for F, v in zip(exhaustion, certify_bound(m, b, exhaustion)):
-            assert v.min_eigenvalue == en.psd_check(s_matrix(m, b, F)).min_eigenvalue
+            assert v.min_eigenvalue == numkernel.psd_check(s_matrix(m, b, F)).min_eigenvalue
 
 
 def test_restricted_norm_hand_value(p3):
@@ -371,7 +366,7 @@ def test_restricted_norm_matches_random_rayleigh(seed):
     exhaustion = [tuple(joined[i] for i in rng.permutation(s)) for s in sizes]
     for (F, traced), F_again in zip(analyze(m, exhaustion).lower_bounds, exhaustion):
         assert F == F_again
-        V = en.gram_matrix(net, F).V.a
+        V = en.gram_matrix(net, F).V
         fv = np.array([m[x] for x in F])
         A = np.outer(fv, np.conj(fv)) * V
         lam = scipy.linalg.eigh(A, V, eigvals_only=True)[-1]
@@ -549,7 +544,7 @@ def test_analyze_guards(monkeypatch, capsys, spoil, message):
 def _pencil_rho(m, F):
     """sqrt of the top eigenvalue of the pencil (P_F o V_F, V_F), from a
     dense generalized eigensolve."""
-    V = en.gram_matrix(m.net, F).V.a
+    V = en.gram_matrix(m.net, F).V
     fv = np.array([m[x] for x in F])
     lam = scipy.linalg.eigh(np.outer(fv, np.conj(fv)) * V, V, eigvals_only=True)[-1]
     return float(np.sqrt(max(lam, 0.0)))
@@ -734,7 +729,7 @@ def test_from_kernel_takes_kernel_values(test_net):
 def t_matrix(m, F):
     """The literal V_F^{1/2} conj(D_F) V_F^{-1/2}, whose l2 operator norm
     equals restricted_norm; an independent cross-check."""
-    root = en.sqrtm_psd(en.gram_matrix(m.net, F).V).a
+    root = numkernel.sqrtm_psd(en.gram_matrix(m.net, F).V)
     fv = np.conj(np.array([m[x] for x in F]))
     return root @ np.diag(fv) @ np.linalg.inv(root)
 
@@ -902,7 +897,7 @@ def test_truncation_basis_matches_gram_schmidt(n, seed, data):
     assert set(callers) <= {"_kernel", "_unit_solve", "_mult_matrix"}
     # the Gram matrix over F_m with F_n leading, as truncation_consistency orders it
     gram = en.gram_matrix(net, F_m)
-    V = gram.V.a
+    V = gram.V
     k = len(F_n)
     # C is the leading block of the Gram factor
     (C,) = bases
@@ -1105,10 +1100,10 @@ def test_norm_invariants_random(seed):
 
     # dichotomy at the full set: psd just above rho, not psd just below
     hi = rho * (1 + 1e-6) + 1e-9
-    assert en.psd_check(s_matrix(m, hi, xs)).is_psd
+    assert numkernel.psd_check(s_matrix(m, hi, xs)).is_psd
     if rho > 1e-6:
         lo = rho * (1 - 1e-3)
-        assert not en.psd_check(s_matrix(m, lo, xs)).is_psd
+        assert not numkernel.psd_check(s_matrix(m, lo, xs)).is_psd
 
     # domination: ||M_f u||_E <= rho ||u||_E on the kernel span image
     u = random_energy_vector(net, rng, complex_=True)

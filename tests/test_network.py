@@ -169,8 +169,8 @@ def test_laplacian_row_sums_vanish(test_net):
 def test_laplacian_block(test_net):
     idx = [3, 0, 2]
     block = test_net.laplacian_block(idx)
-    np.testing.assert_array_equal(block.a, test_net.laplacian_matrix()[np.ix_(idx, idx)])
-    assert block.defect == 0.0 and not block.a.flags.writeable
+    np.testing.assert_array_equal(block, test_net.laplacian_matrix()[np.ix_(idx, idx)])
+    assert np.array_equal(block, block.T) and not block.flags.writeable
 
 
 def test_x_index_is_x_in_vertex_order_and_read_only():
@@ -181,7 +181,7 @@ def test_x_index_is_x_in_vertex_order_and_read_only():
     assert net.x_index.dtype == np.intp and not net.x_index.flags.writeable
     with pytest.raises(ValueError):
         net.x_index[0] = 1
-    block = net.laplacian_block(net.x_index).a
+    block = net.laplacian_block(net.x_index)
     W = net.grounded_factor
     assert np.array_equal(W, np.triu(W))
     np.testing.assert_allclose(W @ W.T, block, atol=1e-14)

@@ -6,27 +6,32 @@ from hypothesis import strategies as st
 
 import energynet as en
 from energynet import numkernel
-from energynet.errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite, NotPsd
+from energynet.errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
 from energynet.numkernel import (
-    SymMatrix,
     cho_solve,
     cholesky,
     default_psd_tol,
     matmul,
+    psd_check,
+    spd_solve,
+    sqrtm_psd,
+    sym_eig,
     top_eigpair,
 )
 
 
 def sym(arr):
-    return SymMatrix.from_array(np.asarray(arr, dtype=float))
+    return np.array(arr, dtype=float)
 
 
 def random_psd(rng, n, allow_singular=True):
+    """A random psd matrix, exactly symmetric like every matrix of the package."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(0.0 if allow_singular else 0.1, 5.0, n)
     if allow_singular and n > 1:
         eigs[rng.integers(0, n)] = 0.0
-    return q @ np.diag(eigs) @ q.T
+    a = q @ np.diag(eigs) @ q.T
+    return a / 2 + a.T / 2
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -54,21 +59,21 @@ def test_matmul_matches_numpy(layout, dtypes, cols):
 
 def test_spd_solve_identity():
     b = np.array([3.0, -1.0])
-    assert np.allclose(en.spd_solve(sym(np.eye(2)), b), b)
+    assert np.allclose(spd_solve(sym(np.eye(2)), b), b)
 
 
 def test_spd_solve_hand_value():
-    x = en.spd_solve(sym([[2, -1], [-1, 2]]), np.array([1.0, 0.0]))
+    x = spd_solve(sym([[2, -1], [-1, 2]]), np.array([1.0, 0.0]))
     assert np.allclose(x, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_spd_solve_singular_rejected():
     with pytest.raises(NotPositiveDefinite):
-        en.spd_solve(sym([[1, 1], [1, 1]]), np.array([1.0, 0.0]))
+        spd_solve(sym([[1, 1], [1, 1]]), np.array([1.0, 0.0]))
 
 
 def test_spd_solve_complex_rhs():
-    x = en.spd_solve(sym([[2, -1], [-1, 2]]), np.array([1.0 + 1j, 0.0]))
+    x = spd_solve(sym([[2, -1], [-1, 2]]), np.array([1.0 + 1j, 0.0]))
     assert np.allclose(x, np.array([2 / 3, 1 / 3]) * (1 + 1j))
 
 
@@ -78,7 +83,7 @@ def test_cholesky_upper_with_zero_lower_triangle(n):
     A = sym(random_psd(rng, n, allow_singular=False))
     U = cholesky(A)
     assert np.all(np.tril(U, -1) == 0.0)
-    np.testing.assert_allclose(U.T @ U, A.a, rtol=0, atol=1e-12 * np.abs(A.a).max())
+    np.testing.assert_allclose(U.T @ U, A, rtol=0, atol=1e-12 * np.abs(A).max())
 
 
 def test_cholesky_rejects_indefinite():
@@ -92,20 +97,20 @@ def test_cho_solve_complex_rhs_against_real_factor():
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x = cho_solve(cholesky(A), b)
     assert np.iscomplexobj(x)
-    np.testing.assert_allclose(x, np.linalg.solve(A.a.astype(complex), b), rtol=1e-12)
+    np.testing.assert_allclose(x, np.linalg.solve(A.astype(complex), b), rtol=1e-12)
 
 
 def test_cho_solve_against_a_complex_factor():
     # the factor of a complex Hermitian positive definite matrix, by parts
     rng = np.random.default_rng(7)
     G = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    A = SymMatrix.from_array(G @ G.conj().T + 9 * np.eye(9))
+    A = G @ G.conj().T + 9 * np.eye(9)
     U = cholesky(A)
     assert np.iscomplexobj(U)
     for b in (rng.standard_normal(9), rng.standard_normal(9) + 1j * rng.standard_normal(9),
               rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))):
-        want = np.linalg.solve(A.a, b)
-        for x in (cho_solve(U, b), en.spd_solve(A, b)):
+        want = np.linalg.solve(A, b)
+        for x in (cho_solve(U, b), spd_solve(A, b)):
             assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -131,16 +136,25 @@ def _kept_arrays(kind):
     yield "constant", Multiplier.constant(net, v.tolist()[1]).f
     yield "ground", en.ground(net, v).values
     yield "laplacian_apply", laplacian_apply(net, VertexFunction(net, v)).values
-    yield "from_array", SymMatrix.from_array(H).a
-    yield "laplacian_block", net.laplacian_block(net.x_index).a
+    yield "laplacian_block", net.laplacian_block(net.x_index)
+    yield "delta_gram", en.delta_gram(net, X)
     yield "grounded_factor", net.grounded_factor
     yield "GramMatrix.W, prefix", en.gram_matrix(net, X[:3]).W
     yield "GramMatrix.W, general", en.gram_matrix(net, X[::-1]).W
+    yield "GramMatrix.V, prefix", en.gram_matrix(net, X[:3]).V
+    yield "GramMatrix.V, general", en.gram_matrix(net, X[::-1]).V
+    yield "GramMatrix.sqrt()", en.gram_matrix(net, X[::-1]).sqrt()
+    yield "s_matrix", en.s_matrix(Multiplier(net, v), 1.0, X[::-1])
     eye = np.eye(net.n, dtype=int)
-    yield "cholesky", cholesky(SymMatrix.from_array(H + net.n * eye))
-    yield "psd_check witness", en.psd_check(SymMatrix.from_array(eye - H)).witness
+    yield "cholesky", cholesky(H + net.n * eye)
+    yield "psd_check witness", psd_check(eye - H).witness
     (cert,) = certify_bound(Multiplier(net, v), 0.0, [X])
     yield "certify witness", cert.witness
+
+
+# the package's matrices: plain arrays, Hermitian by construction and never checked
+HERMITIAN = ("laplacian_block", "delta_gram", "GramMatrix.V, prefix", "GramMatrix.V, general",
+             "GramMatrix.sqrt()", "s_matrix")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -152,19 +166,26 @@ def test_kept_arrays_are_read_only_contiguous_and_real_when_they_can_be(kind):
             assert a.dtype == np.float64, (name, a.dtype)
 
 
+@pytest.mark.parametrize("name", HERMITIAN)
+def test_package_matrices_are_exactly_hermitian(name):
+    for kind in KINDS:
+        a = dict(_kept_arrays(kind))[name]
+        assert np.array_equal(a, a.conj().T), (name, kind)
+
+
 def test_sym_eig_values():
-    w, q = en.sym_eig(sym([[1, 1], [1, 2]]))
+    w, q = sym_eig(sym([[1, 1], [1, 2]]))
     assert np.allclose(w, [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])
     assert np.allclose(q.T @ q, np.eye(2), atol=1e-10)
-    w, _ = en.sym_eig(sym([[0, 1], [1, 0]]))
+    w, _ = sym_eig(sym([[0, 1], [1, 0]]))
     assert np.allclose(w, [-1, 1])
 
 
 def test_psd_check_cases():
-    assert en.psd_check(sym([[1, 2], [2, 4]])).is_psd
-    bad = en.psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
+    assert psd_check(sym([[1, 2], [2, 4]])).is_psd
+    bad = psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
     assert not bad.is_psd
-    neg = en.psd_check(sym(-np.eye(3)))
+    neg = psd_check(sym(-np.eye(3)))
     assert not neg.is_psd and neg.min_eigenvalue == pytest.approx(-1.0)
 
 
@@ -174,7 +195,7 @@ def test_psd_check_never_writes_its_argument():
     for a in (g + g.T, np.asfortranarray(g + g.T), g + g.T - 20 * np.eye(40)):
         before = a.copy()
         assert a.flags.writeable
-        en.psd_check(SymMatrix(a, 0.0))
+        psd_check(a)
         assert np.array_equal(a, before)
 
 
@@ -184,15 +205,15 @@ def test_psd_check_in_place_is_psd_check():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     for a in (g.real + g.real.T, g.real @ g.real.T, g + g.conj().T):
-        want = en.psd_check(SymMatrix(a, 0.0))
-        got = numkernel._psd_check_in_place(SymMatrix(a.copy(), 0.0))
+        want = psd_check(a)
+        got = numkernel._psd_check_in_place(a.copy())
         assert (got.is_psd, got.min_eigenvalue, got.tol) == (
             want.is_psd, want.min_eigenvalue, want.tol)
         assert want.is_psd or np.array_equal(got.witness, want.witness)
 
 
 def test_psd_witness_reproduces_verdict():
-    v = en.psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
+    v = psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
     quad = v.witness @ np.array([[0.96, 1.96], [1.96, 3.92]]) @ v.witness
     assert quad == pytest.approx(v.min_eigenvalue, rel=1e-9)
     assert quad < -v.tol
@@ -204,7 +225,7 @@ def test_psd_check_matches_brute_force(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a = (a + a.T) / 2
-    verdict = en.psd_check(sym(a))
+    verdict = psd_check(sym(a))
     tol = default_psd_tol(sym(a))
     xi = rng.standard_normal((1000, n))
     quads = np.einsum("ki,ij,kj->k", xi, a, xi)
@@ -217,23 +238,23 @@ def test_psd_check_witness_only_on_failure(monkeypatch):
     # one subset eigensolve gives lambda_min and its eigenvector: no full basis
     monkeypatch.setattr(numkernel, "sym_eig", lambda A: pytest.fail("sym_eig called"))
     # a passing verdict holds no vector or matrix
-    ok = en.psd_check(sym(np.eye(40) + 0.5))
+    ok = psd_check(sym(np.eye(40) + 0.5))
     assert ok.is_psd and ok.witness is None
-    assert not any(isinstance(v, (np.ndarray, numkernel.SymMatrix)) for v in vars(ok).values())
+    assert not any(isinstance(v, np.ndarray) for v in vars(ok).values())
     # a failing one carries a unit eigenvector of lambda_min, its first nonzero
     # entry real and positive
     rng = np.random.default_rng(11)
     g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     for a in ([[0.96, 1.96], [1.96, 3.92]], -np.eye(3), g.real + g.real.T, g + g.conj().T):
-        A = SymMatrix.from_array(np.asarray(a))
-        v = en.psd_check(A)
+        A = np.asarray(a)
+        v = psd_check(A)
         assert not v.is_psd
         xi = v.witness
-        assert np.iscomplexobj(xi) == np.iscomplexobj(A.a)
+        assert np.iscomplexobj(xi) == np.iscomplexobj(A)
         assert np.linalg.norm(xi) == pytest.approx(1.0, rel=1e-12)
-        quad = np.real(np.conj(xi) @ A.a @ xi)
+        quad = np.real(np.conj(xi) @ A @ xi)
         assert quad == pytest.approx(v.min_eigenvalue, rel=1e-9)
-        assert v.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(A.a)[0], rel=1e-9)
+        assert v.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(A)[0], rel=1e-9)
         first = xi[np.flatnonzero(xi)[0]]
         assert first.real > 0 and abs(first.imag) <= 1e-15 * abs(first)
 
@@ -288,14 +309,14 @@ def test_top_eigpair_reproducible():
 
 
 def test_sqrtm_psd_diagonal():
-    b = en.sqrtm_psd(sym(np.diag([4.0, 9.0])))
-    assert np.allclose(b.a, np.diag([2.0, 3.0]))
-    assert np.allclose(en.sqrtm_psd(sym(np.eye(3))).a, np.eye(3))
+    b = sqrtm_psd(sym(np.diag([4.0, 9.0])))
+    assert np.allclose(b, np.diag([2.0, 3.0]))
+    assert np.allclose(sqrtm_psd(sym(np.eye(3))), np.eye(3))
 
 
 def test_sqrtm_psd_rejects_indefinite():
     with pytest.raises(NotPsd):
-        en.sqrtm_psd(sym([[1, 0], [0, -1]]))
+        sqrtm_psd(sym([[1, 0], [0, -1]]))
 
 
 def test_sqrtm_psd_decomposes_once(monkeypatch):
@@ -311,9 +332,9 @@ def test_sqrtm_psd_decomposes_once(monkeypatch):
 def test_sqrtm_psd_roundtrip(seed, n):
     rng = np.random.default_rng(seed)
     a = random_psd(rng, n)
-    b = en.sqrtm_psd(sym(a))
-    assert en.psd_check(b).is_psd
-    assert np.abs(b.a @ b.a - a).max() <= 1e-8 * max(1.0, np.abs(a).max())
+    b = sqrtm_psd(sym(a))
+    assert psd_check(b).is_psd
+    assert np.abs(b @ b - a).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
@@ -325,19 +346,10 @@ def test_sqrtm_psd_root_is_exactly_hermitian(complex_input):
     if complex_input:
         g = g + 1j * rng.standard_normal((12, 12))
     a = g @ g.conj().T
-    root = en.sqrtm_psd(SymMatrix.from_array((a + a.conj().T) / 2))
-    assert np.iscomplexobj(root.a) == complex_input
-    assert np.array_equal(root.a, root.a.conj().T) and root.defect == 0.0
-    assert np.abs(root.a @ root.a - a).max() <= 1e-10 * np.abs(a).max()
-
-
-def test_symmatrix_rejects_nonhermitian():
-    # from_array is the entry check of an outside matrix: its refusals are the
-    # package's own errors (InvalidInput is a ValueError)
-    with pytest.raises(InvalidInput, match="not Hermitian"):
-        SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(InvalidInput, match=r"expected a square matrix, got shape \(2, 3\)"):
-        SymMatrix.from_array(np.ones((2, 3)))
+    root = sqrtm_psd(a / 2 + a.conj().T / 2)
+    assert np.iscomplexobj(root) == complex_input
+    assert np.array_equal(root, root.conj().T)
+    assert np.abs(root @ root - a).max() <= 1e-10 * np.abs(a).max()
 
 
 def test_eigensolver_failure_is_convergence_failure(monkeypatch):
@@ -346,14 +358,7 @@ def test_eigensolver_failure_is_convergence_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    for solve in (en.sym_eig, en.psd_check):
+    for solve in (sym_eig, psd_check):
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             solve(sym(np.eye(2)))
 
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf)])
-def test_symmatrix_rejects_non_finite(bad):
-    # a NaN defect compares False against the tolerance, so finiteness is its own check
-    for arr in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
-        with pytest.raises(InvalidInput, match="non-finite"):
-            SymMatrix.from_array(np.array(arr))

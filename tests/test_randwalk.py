@@ -3,7 +3,7 @@ import pytest
 
 import energynet as en
 from energynet.errors import CapHit, UnknownVertex
-from energynet.numkernel import SymMatrix, spd_solve
+from energynet.numkernel import spd_solve
 from energynet.randwalk import _walk_step, escape_prob_exact, escape_prob_mc, transition_prob
 
 from conftest import random_network, x_vertices
@@ -103,8 +103,7 @@ def _dense_escape(net, x):
     h[oi] = 1.0
     if interior:
         L = net.laplacian_matrix()
-        sub = SymMatrix.from_array(L[np.ix_(interior, interior)])
-        h[interior] = spd_solve(sub, -L[interior, oi])
+        h[interior] = spd_solve(L[np.ix_(interior, interior)], -L[interior, oi])
     row = slice(net.indptr[xi], net.indptr[xi + 1])
     return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))
 

@@ -61,7 +61,7 @@ def test_untested_lines_on_one_test_file(tmp_path):
     # a function docstring carries no bytecode: never listed, though the body is
     doc = '"""Upper-triangular U with A = U^H U, zeros below its diagonal: the one'
     assert _line_of(numkernel, doc) not in listed
-    assert _line_of(numkernel, "return stored(scipy.linalg.cholesky(A.a))") in listed
+    assert _line_of(numkernel, "return stored(scipy.linalg.cholesky(A))") in listed
     assert any(ln.startswith("1 passed") for ln in lines)
 
 
@@ -109,12 +109,17 @@ def test_bench_pairs_writes_one_entry_per_workload(tmp_path, monkeypatch, capsys
         pytest.skip("bench_pairs extracts its base from a git checkout")
     names = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())[
         "end_to_end"]]
-    runs = []
+    runs, trees = [], set()
 
     def fake_run(tree, workload, seed, seconds):
-        change = tree == bench_pairs.ROOT
+        change = tree.name == "change"
         runs.append((workload, seed, "change" if change else "base"))
+        trees.add(tree)
         assert (tree / "perfbench" / "run.py").is_file()
+        if change:
+            # a copy of the working tree, not the checkout itself
+            script = Path("scripts", "bench_pairs.py")
+            assert (tree / script).read_bytes() == (bench_pairs.ROOT / script).read_bytes()
         return {n: 1.0 if change else 2.0 for n in names}, 0, {"nproc": 2, "seed": seed}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
@@ -122,6 +127,9 @@ def test_bench_pairs_writes_one_entry_per_workload(tmp_path, monkeypatch, capsys
     argv = ["--base", "HEAD", "--workload", "a", "--workload", "b", "--pairs", "2",
             "--seconds", "1", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
+    # both sides run in sibling temporary copies, removed afterwards
+    assert len(trees) == 2 and len({t.parent for t in trees}) == 1
+    assert bench_pairs.ROOT not in trees and not any(t.exists() for t in trees)
     # odd pairs run the base first, even pairs the change
     assert runs[:4] == [("a", 1, "base"), ("a", 1, "change"), ("a", 2, "change"),
                         ("a", 2, "base")]

@@ -39,7 +39,7 @@ def unit_trees(draw):
 
 def assert_matches_closed_form(net, F_idx, r, depth, column):
     F = [net.vertices[i] for i in F_idx]
-    V = en.gram_matrix(net, F).V.a
+    V = en.gram_matrix(net, F).V
     exact = np.column_stack([column(i) for i in F_idx])[F_idx]
     d = np.maximum.outer(depth[F_idx], depth[F_idx])
     # an exact zero (x ^ y = o) stays 0
