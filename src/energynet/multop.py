@@ -17,7 +17,6 @@ from .errors import InvalidInput, InvariantViolation, NetworkMismatch, UnknownVe
 from .network import VertexFunction, total_conductance
 from .numkernel import (
     _by_parts,
-    _psd_check_in_place,
     _real_if_exact,
     matmul,
     psd_check,
@@ -77,17 +76,17 @@ def _nested_order(net, exhaustion):
 def _nested_levels(m, exhaustion):
     """Check a nested exhaustion F_1 c ... c F_m and build V over F_m once,
     ordered level by level (F_1, then F_2 \\ F_1, ...) so that every level is
-    a leading block.  Returns (certify, trace, sufficiency).  certify(b) forms
-    S = s_matrix(m, b, F_m) once and yields psd_check's verdict on each
-    level's leading block, a view of S, failing ones with their witness in
-    F's order; the outermost level, S itself, is solved last and in S's own
-    buffer.  trace() returns (F, rho_F) per level, rho_F = sigma_max(T_k)
-    for T = W^{-1} D* W, where V^{-1} = W W^T is the Gram matrix's factor and
-    D = diag(f): T is upper triangular and the pencil (P_F o V_F, V_F) on a
-    leading k x k block is T_k^H T_k = W_k^T D_k V_k D_k* W_k.  T is never
-    formed: each level applies that product to vectors by two triangular
-    products with the leading block W_k and one product with V_k.
-    sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
+    a leading block.  Returns (certify, trace, sufficiency).  certify(b)
+    yields psd_check's verdict on each level's S_F = _s(b, f_k, V_k) over
+    the leading k x k block: the entries of s_matrix(m, b, F) in V's order,
+    built in a buffer of its own that psd_check solves in place; failing
+    verdicts carry their witness in F's order.  trace() returns (F, rho_F)
+    per level, rho_F = sigma_max(T_k) for T = W^{-1} D* W, where
+    V^{-1} = W W^T is the Gram matrix's factor and D = diag(f): T is upper
+    triangular and the pencil (P_F o V_F, V_F) on a leading k x k block is
+    T_k^H T_k = W_k^T D_k V_k D_k* W_k.  T is never formed: each level
+    applies that product to vectors by two triangular products with the
+    leading block W_k and one product with V_k.  sufficiency() is sufficiency_bound(m), with R(x) = V_xx read on F_m."""
     exhaustion, order = _nested_order(m.net, exhaustion)
     gram = gram_matrix(m.net, order)
     V, W = gram.V, gram.W
@@ -95,12 +94,10 @@ def _nested_levels(m, exhaustion):
     pos = {x: i for i, x in enumerate(order)}
 
     def certify(b):
-        S = _s(b, fv, V)
-        for level, F in enumerate(exhaustion, 1):
-            # a principal block of a Hermitian matrix is Hermitian; the last
-            # level is S, which no later level reads
-            check = _psd_check_in_place if level == len(exhaustion) else psd_check
-            v = check(S[: len(F), : len(F)])
+        for F in exhaustion:
+            k = len(F)
+            # no name keeps S_F: it is freed before the next level's is built
+            v = psd_check(_s(b, fv[:k], V[:k, :k]))
             yield v if v.is_psd else replace(v, witness=stored(v.witness[[pos[x] for x in F]]))
 
     def sufficiency():

@@ -5,23 +5,20 @@ Everything here is a pure function on small dense matrices (target scale
 n <= ~2000).  Two rules hold package-wide: every kept array goes through
 `stored` (read-only, and contiguous float64 where its imaginary part is 0),
 and a complex vector meets every matrix by parts (`_by_parts`: two calls, no
-complex copy of a real matrix).  Only `sym_eig` computes a full eigenbasis:
-`top_eigpair` runs a Krylov iteration on a matrix-vector product and
-`psd_check` a subset eigensolve for the smallest eigenpair.  Matrix
-arguments are plain arrays that the package builds itself, each Hermitian
-by construction; no public name of the package takes a matrix from outside,
-so nothing here checks one.
+complex copy of a real matrix).  Each question takes one eigensolver call:
+`psd_check` a subset eigensolve for the smallest eigenpair, `sqrtm_psd` a
+full eigenbasis, and `top_eigpair` a Krylov iteration on a matrix-vector
+product.  Matrix arguments are plain arrays that the package builds itself,
+each Hermitian by construction; no public name of the package takes a matrix
+from outside, so nothing here checks one.
 
 Memory: the `mult` path holds the network's factor W, the Gram matrix V and
 one more n x n work array at a time (the kernel's Y, the cross-check's
-pairings, or S), each written in place, on every network: the cross-check's
-edge differences are built one panel of PANEL edges at a time.  psd_check
-solves a copy and never writes its argument.  The outermost certificate,
-on S itself, runs LAPACK in S's own buffer (_psd_check_in_place, the same
-code); each inner level still copies its leading block, up to
-(2^j / (n - 1))^2 of an array for the largest inner level 2^j of the
-default exhaustion (0.41 at n = 801).  A complex S takes two arrays and is
-copied at every level.  No whole-matrix numpy expression makes a temporary:
+pairings, or one level's S_F), each written in place, on every network: the
+cross-check's edge differences are built one panel of PANEL edges at a time.
+Each level's S_F is built in its own buffer, and psd_check solves a real one
+there with no copy; a complex S_F takes two arrays, itself and the copy
+that LAPACK solves.  No whole-matrix numpy expression makes a temporary:
 what needs one (a mirrored triangle, a comparison, a row norm) runs over row
 panels of PANEL rows.
 
@@ -136,15 +133,6 @@ def spd_solve(A, b):
     return x
 
 
-def sym_eig(A):
-    """Eigendecomposition A = Q diag(w) Q*, eigenvalues ascending."""
-    try:
-        w, q = scipy.linalg.eigh(A, driver="evd")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
-    return w, q
-
-
 def default_psd_tol(A):
     """1e-9 max(1, ||A||_inf), the row sums of |A| taken a row panel at a time."""
     norm_inf = max((np.abs(A[r : r + PANEL]).sum(axis=1).max() for r in range(0, len(A), PANEL)),
@@ -156,28 +144,22 @@ def psd_check(A):
     """Certify positive semidefiniteness: psd iff lambda_min >= -tol, with
     tol = default_psd_tol(A).
 
-    lambda_min and its eigenvector come from one subset eigensolve, on a
-    copy: A is never written.  Only a failing verdict carries that
-    eigenvector, as its witness: unit length, sign fixed by its first
+    lambda_min and its eigenvector come from one subset eigensolve.  A real,
+    writable A is LAPACK's workspace and is overwritten, with no copy: its
+    Fortran-ordered transpose is A itself, A being exactly symmetric.  A
+    complex A is solved in its conjugate copy, and a read-only A (every kept
+    array) in a copy, so neither is written.  Only a failing verdict carries
+    that eigenvector, as its witness: unit length, sign fixed by its first
     nonzero component.  A passing one keeps none.
     """
-    return _psd_check(A, A, False)
-
-
-def _psd_check_in_place(A):
-    """psd_check(A) for an A whose writable buffer the caller gives up.  A
-    real A is LAPACK's workspace, with no copy: through its Fortran-ordered
-    transpose, which is A itself, A being exactly symmetric.  A complex A,
-    whose transpose is its conjugate, is copied as psd_check copies it."""
-    real = not np.iscomplexobj(A)
-    return _psd_check(A, A.T if real else A, real)
-
-
-def _psd_check(A, a, overwrite):
-    # the tolerance reads A before the eigensolve may overwrite it
-    tol = float(default_psd_tol(A))
+    tol = float(default_psd_tol(A))  # read before the eigensolve overwrites A
+    # a real array's conj() is itself; f2py's overwrite_a writes through the
+    # read-only flag, so a read-only A is copied
+    a = A.conj().T
+    if not a.flags.writeable:
+        a = a.copy(order="K")
     try:
-        w, q = scipy.linalg.eigh(a, subset_by_index=[0, 0], overwrite_a=overwrite)
+        w, q = scipy.linalg.eigh(a, subset_by_index=[0, 0], overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from None
     ok = bool(w[0] >= -tol)
@@ -234,7 +216,10 @@ def sqrtm_psd(A):
     Negative eigenvalues within the psd tolerance are clamped to zero.
     """
     tol = default_psd_tol(A)
-    w, q = sym_eig(A)
+    try:
+        w, q = scipy.linalg.eigh(A, driver="evd")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
     if not w[0] >= -tol:
         raise NotPsd(f"lambda_min = {w[0]:.3e} < -{tol:.3e}")
     root = matmul(q * np.sqrt(np.clip(w, 0.0, None)), q.conj().T)

@@ -220,31 +220,36 @@ def test_s_matrix_is_exactly_hermitian(n, seed, data):
         assert np.array_equal(S, S.conj().T)
 
 
-def test_one_s_matrix_per_bound(monkeypatch):
-    """S is formed once per bound over the outer set, however many levels the
-    exhaustion has."""
+def test_one_s_per_level_and_one_gram_per_analysis(monkeypatch):
+    """Each bound builds one S_F per level it certifies, of that level's size,
+    and each analysis one Gram matrix over the outer set, however many levels
+    the exhaustion has."""
     net = en.generate("integer_segment", 12)
     m = Multiplier.from_kernel(net, 3)
     xs = x_vertices(net)
-    calls = []
-    s = multop._s
-    monkeypatch.setattr(multop, "_s", lambda *a: calls.append(1) or s(*a))
+    sizes, grams = [], []
+    s, gram_matrix = multop._s, multop.gram_matrix
+    monkeypatch.setattr(multop, "_s", lambda b, fv, V: sizes.append(len(fv)) or s(b, fv, V))
+    monkeypatch.setattr(multop, "gram_matrix", lambda *a: grams.append(1) or gram_matrix(*a))
     rho = restricted_norm(m, xs)
-    counts = {}
     for levels in (2, 6):
         exhaustion = [tuple(xs[:k]) for k in np.linspace(1, len(xs), levels, dtype=int)]
-        counts[levels] = []
         for run in (
             lambda: analyze(m, exhaustion),
             lambda: certify_bound(m, 0.5 * rho, exhaustion),
             lambda: certify_bound(m, 2 * rho, exhaustion),
-            lambda: bisect_bound(m, exhaustion, tol=1e-3),
         ):
-            calls.clear()
+            sizes.clear()
+            grams.clear()
             run()
-            counts[levels].append(len(calls))
-    assert counts[2] == counts[6]
-    assert counts[2][:3] == [1, 1, 1]
+            assert sizes == [len(F) for F in exhaustion] and grams == [1]
+        sizes.clear()
+        grams.clear()
+        bisect_bound(m, exhaustion, tol=1e-3)
+        # each probe starts at F_1 and stops at its first failing level
+        probes = sizes.count(len(exhaustion[0]))
+        assert set(sizes) == {len(F) for F in exhaustion} and grams == [1]
+        assert len(sizes) < probes * len(exhaustion)
 
 
 def test_witnesses_from_one_subset_eigensolve(monkeypatch):
@@ -262,12 +267,11 @@ def test_witnesses_from_one_subset_eigensolve(monkeypatch):
         scipy.linalg, "eigh", lambda a, **kw: solves.append(kw["subset_by_index"]) or eigh(a, **kw)
     )
     monkeypatch.setattr(multop, "_s", lambda *args: probes.append(1) or s(*args))
-    monkeypatch.setattr(numkernel, "sym_eig", lambda A: pytest.fail("sym_eig called"))
     report = analyze(m, exhaustion, bound=b)
     assert report.verdict.startswith("FAIL")
-    assert solves == [[0, 0]] * len(exhaustion) and len(probes) == 1
+    assert solves == [[0, 0]] * len(exhaustion) and len(probes) == len(exhaustion)
     verdicts = certify_bound(m, b, exhaustion)
-    assert solves == [[0, 0]] * 2 * len(exhaustion) and len(probes) == 2
+    assert solves == [[0, 0]] * 2 * len(exhaustion) and len(probes) == 2 * len(exhaustion)
     failing = [(F, v) for F, v in zip(exhaustion, verdicts) if not v.is_psd]
     assert 0 < len(failing) < len(verdicts)
     for (F, v), (_, w) in zip(zip(exhaustion, verdicts), report.psd_certificates):
@@ -279,9 +283,8 @@ def test_witnesses_from_one_subset_eigensolve(monkeypatch):
     solves.clear()
     probes.clear()
     bisect_bound(m, exhaustion, tol=1e-3)
-    # a probe stops at its first failing level
-    assert set(map(tuple, solves)) == {(0, 0)}
-    assert len(probes) <= len(solves) <= len(probes) * len(exhaustion)
+    # one S_F and one subset eigensolve per level that a probe reaches
+    assert set(map(tuple, solves)) == {(0, 0)} and len(probes) == len(solves)
 
 
 @settings(max_examples=20, deadline=None)
@@ -319,17 +322,31 @@ def test_analyze_certificates_never_contradict(seed, j, sign, complex_):
     assert not (rep.verdict.startswith("PASS") and b < rep.best_lower * (1 - 1e-9))
 
 
-@pytest.mark.parametrize("family, size, x", [("integer_segment", 40, 7), ("binary_tree", 5, 9)])
-def test_prefix_certificates_equal_one_set(family, size, x):
-    """On prefix levels with real f, each leading block of S holds the very
-    entries of the one-set S_F, so the eigenvalues agree exactly."""
+_PREFIX_F = {
+    "real": lambda net, v: v,
+    "generic phase": lambda net, v: v * np.exp(0.5j * np.arange(net.n)),
+    # real on the first 9 vertices, so on the levels of 1, 2, 4 and 8 vertices
+    "mixed phase": lambda net, v: v * np.where(np.arange(net.n) < 9, 1, 1j),
+}
+
+
+@pytest.mark.parametrize("family, size, x, f", [
+    ("integer_segment", 40, 7, "real"), ("binary_tree", 5, 9, "real"),
+    ("integer_segment", 40, 7, "generic phase"), ("integer_segment", 40, 7, "mixed phase"),
+])
+def test_prefix_certificates_equal_one_set(family, size, x, f):
+    """On prefix levels, each level's S_F holds the very entries of the
+    one-set S_F, real where they can be, so the verdicts agree bit for bit,
+    also on a level where a mixed-phase f is real."""
     net = en.generate(family, size)
-    m = Multiplier.from_kernel(net, x)
+    m = Multiplier(net, _PREFIX_F[f](net, en.energy_kernel(net, x).values))
     exhaustion = default_exhaustion(net)
     rho = restricted_norm(m, exhaustion[-1])
     for b in (0.7 * rho, 1.1 * rho):
         for F, v in zip(exhaustion, certify_bound(m, b, exhaustion)):
-            assert v.min_eigenvalue == numkernel.psd_check(s_matrix(m, b, F)).min_eigenvalue
+            one = numkernel.psd_check(s_matrix(m, b, F))
+            assert (v.is_psd, v.min_eigenvalue, v.tol) == (one.is_psd, one.min_eigenvalue, one.tol)
+            assert v.is_psd or np.array_equal(v.witness, one.witness)
 
 
 def test_restricted_norm_hand_value(p3):
@@ -456,17 +473,38 @@ def _analyze_peak(m, bound):
 @pytest.mark.parametrize("bound", [None, 1.0], ids=["estimate", "bound"])
 @pytest.mark.parametrize("f", sorted(_CEILING_F))
 def test_analyze_memory_ceiling(f, bound):
-    """Past the network's factor, analyze holds at most V, one n x n work
-    array and the copy of one inner level's block: the kernel's Y, the
-    cross-check's pairings (its edge differences are one panel of edges), or
-    S and the eigensolver's copy of an inner level, up to (2^j / (n - 1))^2
-    of an array (0.41 at n = 401); the outermost level is solved in S's own
-    buffer.  A real f peaks at 2.61 arrays and must stay under 2.75 (3.16
-    with the edge differences whole and S copied at the outer level).  A
-    complex S and its copy take two arrays each: a complex f peaks at 5.29
-    arrays and must stay under 5.5, below one more real n x n temporary."""
+    """Past the network's factor, analyze holds at most V and one n x n work
+    array: the kernel's Y, the cross-check's pairings (its edge differences
+    are one panel of edges), or one level's S_F, solved in its own buffer.
+    A real f peaks at 2.61 arrays, in the Gram phase, and must stay under
+    2.75 (3.16 with the edge differences whole).  A complex S_F and its copy
+    take two arrays each: a complex f peaks at 5.29 arrays and must stay
+    under 5.5, below one more real n x n temporary."""
     arrays = _analyze_peak(_CEILING_F[f](en.generate("integer_segment", 400)), bound)
     assert arrays <= (5.5 if f == "complex" else 2.75), arrays
+
+
+@pytest.mark.parametrize("bound", [None, 1.0], ids=["estimate", "bound"])
+def test_certificate_memory_ceiling(bound):
+    """The certificates hold V and one level's S_F at a time, solved in its
+    own buffer: with V built before them, their traced peak on real f reads
+    2.20 arrays and must stay under 2.3 (2.51 with one S over the outer set
+    and a copy of each inner level's block)."""
+    net = en.generate("integer_segment", 400)
+    m = Multiplier.from_kernel(net, 5)
+    net.grounded_factor
+    tracemalloc.start()
+    try:
+        certify, trace, _ = multop._nested_levels(m, None)
+        b = max(rho for _, rho in trace()) * (1 + 1e-9) if bound is None else bound
+        tracemalloc.reset_peak()
+        verdicts = list(certify(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v.is_psd for v in verdicts) == (bound is None)
+    arrays = peak / (8 * (net.n - 1) ** 2)
+    assert arrays <= 2.3, arrays
 
 
 @pytest.mark.parametrize("extra_edges", [400, 800, 1203, 1603])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
-from energynet import numkernel
+from energynet import multop
 from energynet.errors import ConvergenceFailure, NotPositiveDefinite, NotPsd
 from energynet.numkernel import (
     cho_solve,
@@ -15,7 +15,6 @@ from energynet.numkernel import (
     psd_check,
     spd_solve,
     sqrtm_psd,
-    sym_eig,
     top_eigpair,
 )
 
@@ -173,14 +172,6 @@ def test_package_matrices_are_exactly_hermitian(name):
         assert np.array_equal(a, a.conj().T), (name, kind)
 
 
-def test_sym_eig_values():
-    w, q = sym_eig(sym([[1, 1], [1, 2]]))
-    assert np.allclose(w, [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])
-    assert np.allclose(q.T @ q, np.eye(2), atol=1e-10)
-    w, _ = sym_eig(sym([[0, 1], [1, 0]]))
-    assert np.allclose(w, [-1, 1])
-
-
 def test_psd_check_cases():
     assert psd_check(sym([[1, 2], [2, 4]])).is_psd
     bad = psd_check(sym([[0.96, 1.96], [1.96, 3.92]]))
@@ -189,27 +180,42 @@ def test_psd_check_cases():
     assert not neg.is_psd and neg.min_eigenvalue == pytest.approx(-1.0)
 
 
-def test_psd_check_never_writes_its_argument():
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((40, 40))
-    for a in (g + g.T, np.asfortranarray(g + g.T), g + g.T - 20 * np.eye(40)):
-        before = a.copy()
-        assert a.flags.writeable
-        psd_check(a)
-        assert np.array_equal(a, before)
-
-
-def test_psd_check_in_place_is_psd_check():
-    """The in-place entry gives psd_check's verdict bit for bit: in S's own
-    buffer when S is real, on a copy when it is complex."""
+def test_psd_check_leaves_read_only_arguments_unchanged(monkeypatch):
+    """A read-only argument, as every kept array is, is copied before LAPACK
+    overwrites it, and its verdict is a writable copy's bit for bit; the
+    certificates leave the network's factor and the Gram matrix as they were."""
     rng = np.random.default_rng(7)
     g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    for a in (g.real + g.real.T, g.real @ g.real.T, g + g.conj().T):
-        want = psd_check(a)
-        got = numkernel._psd_check_in_place(a.copy())
+    for a in (g.real + g.real.T, g.real @ g.real.T, g + g.conj().T, g @ g.conj().T,
+              -np.eye(3), np.eye(3) - 2j * np.eye(3, k=1) + 2j * np.eye(3, k=-1)):
+        kept = a.copy()
+        kept.setflags(write=False)
+        got, want = psd_check(kept), psd_check(a.copy())
+        assert np.array_equal(kept, a)
         assert (got.is_psd, got.min_eigenvalue, got.tol) == (
             want.is_psd, want.min_eigenvalue, want.tol)
+        assert (got.witness is None) == want.is_psd
         assert want.is_psd or np.array_equal(got.witness, want.witness)
+
+    net = en.generate("integer_segment", 40)
+    grams = []
+    gram_matrix = multop.gram_matrix
+
+    def kept_gram(*args):
+        gram = gram_matrix(*args)
+        grams.append((gram, gram.V.copy()))
+        return gram
+
+    monkeypatch.setattr(multop, "gram_matrix", kept_gram)
+    factor = net.grounded_factor.copy()
+    for f in (en.Multiplier.from_kernel(net, 7).f, np.exp(0.3j * np.arange(net.n))):
+        m = en.Multiplier(net, f)
+        rho = en.analyze(m).best_lower
+        en.certify_bound(m, 0.5 * rho, None)
+        en.bisect_bound(m, tol=1e-3)
+    assert len(grams) == 6
+    assert np.array_equal(net.grounded_factor, factor)
+    assert all(np.array_equal(gram.V, V) for gram, V in grams)
 
 
 def test_psd_witness_reproduces_verdict():
@@ -236,7 +242,11 @@ def test_psd_check_matches_brute_force(seed, n):
 
 def test_psd_check_witness_only_on_failure(monkeypatch):
     # one subset eigensolve gives lambda_min and its eigenvector: no full basis
-    monkeypatch.setattr(numkernel, "sym_eig", lambda A: pytest.fail("sym_eig called"))
+    solves = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(
+        scipy.linalg, "eigh", lambda a, **kw: solves.append(kw["subset_by_index"]) or eigh(a, **kw)
+    )
     # a passing verdict holds no vector or matrix
     ok = psd_check(sym(np.eye(40) + 0.5))
     assert ok.is_psd and ok.witness is None
@@ -247,7 +257,7 @@ def test_psd_check_witness_only_on_failure(monkeypatch):
     g = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     for a in ([[0.96, 1.96], [1.96, 3.92]], -np.eye(3), g.real + g.real.T, g + g.conj().T):
         A = np.asarray(a)
-        v = psd_check(A)
+        v = psd_check(A.copy())
         assert not v.is_psd
         xi = v.witness
         assert np.iscomplexobj(xi) == np.iscomplexobj(A)
@@ -257,6 +267,7 @@ def test_psd_check_witness_only_on_failure(monkeypatch):
         assert v.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(A)[0], rel=1e-9)
         first = xi[np.flatnonzero(xi)[0]]
         assert first.real > 0 and abs(first.imag) <= 1e-15 * abs(first)
+    assert solves == [[0, 0]] * 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,15 +325,27 @@ def test_sqrtm_psd_diagonal():
     assert np.allclose(sqrtm_psd(sym(np.eye(3))), np.eye(3))
 
 
+def test_sqrtm_psd_values():
+    # the eigenvalues (3 -+ sqrt 5) / 2 of [[1, 1], [1, 2]] are the squares of
+    # (sqrt 5 -+ 1) / 2
+    a = sym([[1, 1], [1, 2]])
+    root = sqrtm_psd(a)
+    assert np.allclose(np.linalg.eigvalsh(root), [(np.sqrt(5) - 1) / 2, (np.sqrt(5) + 1) / 2])
+    assert np.allclose(root @ root, a, atol=1e-12)
+
+
 def test_sqrtm_psd_rejects_indefinite():
     with pytest.raises(NotPsd):
         sqrtm_psd(sym([[1, 0], [0, -1]]))
+    # eigenvalues -1 and 1
+    with pytest.raises(NotPsd, match=r"lambda_min = -1\.000e\+00"):
+        sqrtm_psd(sym([[0, 1], [1, 0]]))
 
 
 def test_sqrtm_psd_decomposes_once(monkeypatch):
     calls = []
-    sym_eig = numkernel.sym_eig
-    monkeypatch.setattr(numkernel, "sym_eig", lambda A: calls.append(1) or sym_eig(A))
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
     en.gram_matrix(en.generate("integer_segment", 8), [1, 2, 3]).sqrt()
     assert len(calls) == 1
 
@@ -358,7 +381,7 @@ def test_eigensolver_failure_is_convergence_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    for solve in (sym_eig, psd_check):
+    for solve in (sqrtm_psd, psd_check):
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             solve(sym(np.eye(2)))
 

@@ -16,8 +16,9 @@ from energynet import cli, energy, multop, numkernel
 CLI_PATH = [
     numkernel.top_eigpair,
     numkernel.spd_solve,
-    numkernel.sym_eig,
     numkernel.sqrtm_psd,
+    numkernel.psd_check,
+    numkernel.default_psd_tol,
     energy.kernel_columns,
     energy._kernel,
     energy._unit_solve,
@@ -26,7 +27,11 @@ CLI_PATH = [
     energy._first_mismatch,
     multop._nested_levels,
     multop._sufficiency_bound,
+    multop._s,
+    multop.s_matrix,
+    multop.analyze,
     cli.cmd_gram,
+    cli.cmd_mult,
 ]
 PRODUCTS = {"dot", "matmul", "inner", "tensordot", "einsum"}
 LINALG_ALLOWED = {"np.linalg.norm", "np.linalg.LinAlgError"}
