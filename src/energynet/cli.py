@@ -4,6 +4,15 @@ Subcommands: kernel, gram, mult, walk, banach.  Networks come either from a
 generator spec (--gen path:3) or a file (--net graph.json / graph.csv with
 --origin).  Exit codes: 0 pass, 1 certified failure, 2 error, 3 internal
 error (an invariant check failed).
+
+One pipeline serves every subcommand.  `main` parses the argv, builds the
+network and calls the subcommand's `cmd_*(net, args)`, which computes and
+prints nothing: it returns the document, its CSV table (None for key,value
+rows of the document's scalars) and its exit code, 0 or 1.  `main` then
+prints the document once, through `_emit`.  So an exit code comes either
+from the command's returned code or from `main`'s exception ladder: 2 for
+an input error, a closed output stream or memory that ran out, 3 for a
+failed invariant check.
 """
 
 from __future__ import annotations
@@ -142,16 +151,14 @@ def _pretty(doc, indent=0):
             print(f"{pad}{key}: {_fmt6(val) if not isinstance(val, bool) else val}")
 
 
-def cmd_kernel(args):
-    net = _build_net(args)
+def cmd_kernel(net, args):
     x = _parse_vertex(args.vertex)
     vx = energy.energy_kernel(net, x)
     doc = {"command": "kernel", "vertex": x}
     rows = [("vertex", "value")] + [(v, vx[v]) for v in net.vertices]
     if net.index(x) == net.origin_index:
         doc.update({"note": "v_o is the zero class", "values": {str(v): 0.0 for v in net.vertices}})
-        _emit(doc, args.format, csv_rows=rows)
-        return 0
+        return doc, rows, 0
     r = float(vx[x])  # R(x) = v_x(x)
     s = energy.sup_norm(vx)
     doc.update(
@@ -163,12 +170,10 @@ def cmd_kernel(args):
             "bound_ok": bool(s <= r * (1 + 1e-9)),
         }
     )
-    _emit(doc, args.format, csv_rows=rows)
-    return 0 if doc["bound_ok"] else 1
+    return doc, rows, 0 if doc["bound_ok"] else 1
 
 
-def cmd_gram(args):
-    net = _build_net(args)
+def cmd_gram(net, args):
     F = [_parse_vertex(t) for t in args.F.split(",")]
     gm = energy.gram_matrix(net, F)
     doc = {"command": "gram", "F": [str(v) for v in gm.F], "V": gm.V.tolist()}
@@ -178,12 +183,10 @@ def cmd_gram(args):
         doc["sqrt"] = root.tolist()
         doc["sqrt_residual"] = float(np.abs(matmul(root, root) - gm.V).max())
         rows += [["sqrt", *doc["F"]]] + [[x, *row] for x, row in zip(doc["F"], doc["sqrt"])]
-    _emit(doc, args.format, csv_rows=rows)
-    return 0
+    return doc, rows, 0
 
 
-def cmd_mult(args):
-    net = _build_net(args)
+def cmd_mult(net, args):
     m = _parse_multiplier(net, args.f)
     exhaustion = _parse_exhaustion(net, args.exhaust)
     report = multop.analyze(m, exhaustion, bound=args.bound)
@@ -192,12 +195,10 @@ def cmd_mult(args):
     if not args.trace:
         doc["lower_trace"] = doc["lower_trace"][-1:]
     rows = [("F_size", "rho")] + [(n, r) for n, r in doc["lower_trace"]]
-    _emit(doc, args.format, csv_rows=rows)
-    return 1 if doc["verdict"].startswith("FAIL") else 0
+    return doc, rows, 1 if doc["verdict"].startswith("FAIL") else 0
 
 
-def cmd_walk(args):
-    net = _build_net(args)
+def cmd_walk(net, args):
     x = _parse_vertex(args.vertex)
     if not 0 <= args.seed < 2**128:
         raise InvalidInput(f"--seed {args.seed} is outside [0, 2**128)")
@@ -209,38 +210,29 @@ def cmd_walk(args):
     doc["command"] = "walk"
     doc["x"] = str(doc["x"])
     doc["identity_residual"] = abs(identity - 1.0)
-    _emit(doc, args.format)
-    return 0 if doc["identity_residual"] <= 1e-9 else 1
+    return doc, None, 0 if doc["identity_residual"] <= 1e-9 else 1
 
 
-def cmd_banach(args):
-    net = _build_net(args)
-    doc = {"command": "banach"}
-    if args.u2 is not None:
-        u1 = _parse_vector(net, args.u)
-        u2 = _parse_vector(net, args.u2)
-        prod, est = energy.pointwise_product(u1, u2)
-        doc.update(
-            {
-                "product_energy_sq": est.product_energy_sq,
-                "bound": est.bound,
-                "slack": est.slack,
-                "pass": bool(est.slack >= -1e-9),
-                "banach_norm": energy.banach_norm(prod),
-            }
-        )
-        _emit(doc, args.format)
-        return 0
+def cmd_banach(net, args):
     u = _parse_vector(net, args.u)
-    doc.update(
-        {
+    if args.u2 is None:
+        doc = {
+            "command": "banach",
             "sup_norm": energy.sup_norm(u),
             "energy_norm": float(np.sqrt(u.energy)),
             "banach_norm": energy.banach_norm(u),
         }
-    )
-    _emit(doc, args.format)
-    return 0
+        return doc, None, 0
+    prod, est = energy.pointwise_product(u, _parse_vector(net, args.u2))
+    doc = {
+        "command": "banach",
+        "product_energy_sq": est.product_energy_sq,
+        "bound": est.bound,
+        "slack": est.slack,
+        "pass": bool(est.slack >= -1e-9),
+        "banach_norm": energy.banach_norm(prod),
+    }
+    return doc, None, 0
 
 
 def _add_net_args(p):
@@ -251,7 +243,9 @@ def _add_net_args(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="energynet", description=__doc__)
+    # --help shows the docstring's paragraphs for users, not the pipeline's
+    usage = __doc__.partition("\n\nOne pipeline")[0]
+    parser = argparse.ArgumentParser(prog="energynet", description=usage)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="energy-kernel element and resistance at a vertex")
@@ -291,10 +285,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, rows, code = args.func(_build_net(args), args)
+        _emit(doc, args.format, csv_rows=rows)
+        return code
     except BrokenPipeError:  # the reader left early; devnull spares the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output stream closed early", file=sys.stderr)

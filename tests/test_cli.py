@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energynet as en
+from energynet import cli
 from energynet.cli import main
 
 from conftest import random_network
@@ -615,6 +617,41 @@ def test_pretty_format(capsys):
     code, out = run(capsys, "kernel", "--gen", "path:3", "--vertex", "1")
     assert code == 0
     assert "R: 1" in out
+
+
+PIPELINE_ARGV = [
+    ["kernel", "--gen", "path:4", "--vertex", "2"],
+    ["kernel", "--gen", "path:4", "--vertex", "0"],
+    ["gram", "--gen", "path:4", "--F", "1,3", "--sqrt"],
+    ["mult", "--gen", "path:4", "--f", "delta:1", "--bound", "1.4"],
+    ["walk", "--gen", "path:4", "--vertex", "2", "--samples", "200"],
+    ["banach", "--gen", "path:4", "--u", "kernel:1"],
+    ["banach", "--gen", "path:4", "--u", "kernel:1", "--u2", "kernel:2"],
+]
+
+
+@pytest.mark.parametrize("argv", PIPELINE_ARGV, ids=" ".join)
+def test_command_returns_its_result_and_main_prints_it_once(capsys, argv):
+    argv = [*argv, "--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    result = args.func(cli._build_net(args), args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(result, tuple) and len(result) == 3
+    doc, rows, code = result
+    assert isinstance(doc, dict) and doc["command"] == argv[0]
+    assert rows is None or isinstance(rows, list)
+    assert isinstance(code, int) and not isinstance(code, bool)
+    assert main(argv) == code
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_only_main_builds_the_network_and_prints():
+    callers = {"_build_net": [], "_emit": []}
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].append(getattr(top, "name", "<module>"))
+    assert callers == {"_build_net": ["main"], "_emit": ["main"]}
 
 
 def test_unknown_vertex_message_is_unquoted(capsys):

@@ -30,8 +30,12 @@ CLI_PATH = [
     multop._s,
     multop.s_matrix,
     multop.analyze,
+    cli.main,
+    cli.cmd_kernel,
     cli.cmd_gram,
     cli.cmd_mult,
+    cli.cmd_walk,
+    cli.cmd_banach,
 ]
 PRODUCTS = {"dot", "matmul", "inner", "tensordot", "einsum"}
 LINALG_ALLOWED = {"np.linalg.norm", "np.linalg.LinAlgError"}
