@@ -110,9 +110,9 @@ def _parse_exhaustion(net, spec):
     return [tuple(xs[:s]) for s in sizes]
 
 
-def _emit(doc, fmt, csv_rows=None):
+def _emit(doc, fmt, csv_rows):
     """Print doc as JSON, pretty text or CSV.  CSV is the command's table
-    (csv_rows), or else key,value rows of the document's scalar entries."""
+    (csv_rows), or when that is None, key,value rows of its scalar entries."""
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
     elif fmt == "csv":
@@ -288,7 +288,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         doc, rows, code = args.func(_build_net(args), args)
-        _emit(doc, args.format, csv_rows=rows)
+        _emit(doc, args.format, rows)
         return code
     except BrokenPipeError:  # the reader left early; devnull spares the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

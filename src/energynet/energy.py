@@ -51,7 +51,7 @@ from .errors import (
     UnknownVertex,
 )
 from .network import VertexFunction, laplacian_apply, require_values
-from .numkernel import PANEL, cholesky, matmul, spd_solve, sqrtm_psd, stored
+from .numkernel import PANEL, cho_solve, cholesky, matmul, sqrtm_psd, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +309,7 @@ def fin_projection(net, u, F):
     idx = _distinct(net, F)[1]
     if len(idx) == net.n:
         idx.remove(net.origin_index)
-    coeffs = spd_solve(net.laplacian_block(idx), laplacian_apply(net, u).values[idx])
+    coeffs = cho_solve(cholesky(net.laplacian_block(idx)), laplacian_apply(net, u).values[idx])
     vals = np.zeros(net.n, dtype=coeffs.dtype)
     vals[idx] = coeffs
     return ground(net, vals)

@@ -1,6 +1,9 @@
 """Dense Hermitian numerics: SPD solves, eigendecompositions, the top
 eigenpair of a psd operator, psd certification and matrix square roots.
 
+An SPD solve is `cholesky` and then `cho_solve`: one factorization and one
+substitution.
+
 Everything here is a pure function on small dense matrices (target scale
 n <= ~2000).  Two rules hold package-wide: every kept array goes through
 `stored` (read-only, and contiguous float64 where its imaginary part is 0),
@@ -117,20 +120,6 @@ def cho_solve(U, rhs):
     """Solve U^H U x = rhs for the array U that `cholesky` returns, a
     complex rhs by parts."""
     return _by_parts(lambda y: scipy.linalg.cho_solve((U, False), y))(rhs)
-
-
-def spd_solve(A, b):
-    """Solve Ax = b for symmetric positive definite A via Cholesky.
-
-    One step of iterative refinement if the residual exceeds 1e-10 * ||b||.
-    """
-    b = np.asarray(b)
-    U = cholesky(A)
-    x = cho_solve(U, b)
-    resid = b - matmul(A, x)
-    if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(b), 1e-300):
-        x = x + cho_solve(U, resid)
-    return x
 
 
 def default_psd_tol(A):

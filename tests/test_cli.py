@@ -240,6 +240,7 @@ _INVALID = [
         ["walk", "--vertex", "2", "--samples", "10"],
         ["banach", "--u", "kernel:2"],
     ]),
+    ["walk", "--gen", "path:3", "--vertex", "1", "--samples", "10", "--seed", "-1"],
 ]
 
 

@@ -15,10 +15,11 @@ from energynet import cli, energy, multop, numkernel
 
 CLI_PATH = [
     numkernel.top_eigpair,
-    numkernel.spd_solve,
+    numkernel.cho_solve,
     numkernel.sqrtm_psd,
     numkernel.psd_check,
     numkernel.default_psd_tol,
+    energy.fin_projection,
     energy.kernel_columns,
     energy._kernel,
     energy._unit_solve,

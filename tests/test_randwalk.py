@@ -3,7 +3,7 @@ import pytest
 
 import energynet as en
 from energynet.errors import CapHit, UnknownVertex
-from energynet.numkernel import spd_solve
+from energynet.numkernel import cho_solve, cholesky
 from energynet.randwalk import _walk_step, escape_prob_exact, escape_prob_mc, transition_prob
 
 from conftest import random_network, x_vertices
@@ -103,7 +103,7 @@ def _dense_escape(net, x):
     h[oi] = 1.0
     if interior:
         L = net.laplacian_matrix()
-        h[interior] = spd_solve(L[np.ix_(interior, interior)], -L[interior, oi])
+        h[interior] = cho_solve(cholesky(L[np.ix_(interior, interior)]), -L[interior, oi])
     row = slice(net.indptr[xi], net.indptr[xi + 1])
     return float(np.dot(net.weights[row] / net.conductance[xi], h[net.indices[row]]))
 
@@ -125,6 +125,40 @@ def test_escape_prob_exact_is_the_dense_interior_solve(make):
     net = make()
     for x in x_vertices(net):
         assert escape_prob_exact(net, x) == _dense_escape(net, x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda s=s: random_network(12, s, decades=6) for s in range(4)),
+        lambda: en.build_network([(0, 1, 1e-4), (1, 2, 1e4), (2, 3, 1e-4)], origin=0),
+    ],
+    ids=[*(f"spread{s}" for s in range(4)), "path_1e-4_1e4_1e-4"],
+)
+def test_dirichlet_solve_is_one_factorization_and_one_substitution(make, monkeypatch):
+    # no residual product and no second substitution, whatever the spread
+    from energynet import energy, numkernel
+
+    net = make()
+    calls = {"cholesky": 0, "cho_solve": 0, "matmul": 0}
+
+    def spy(name):
+        real = getattr(numkernel, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        counted = spy(name)
+        for module in (energy, numkernel):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    for x in x_vertices(net):
+        calls.update(dict.fromkeys(calls, 0))
+        escape_prob_exact(net, x)
+        assert calls == {"cholesky": 1, "cho_solve": 1, "matmul": 0}, x
 
 
 def test_walk_operator_identity(test_net):
